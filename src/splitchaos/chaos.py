@@ -1,4 +1,4 @@
-"""The three chaos-game variants over a hyperbolic IFS.
+"""The three chaos-game variants over a hyperbolic IFS, played by one engine.
 
 Each run is a deterministic function of (ifs, config): the seed drives a
 splitmix64-seeded xoshiro256++ stream, map selection inverts the
@@ -13,6 +13,14 @@ draw each in that order, from the two component marginals, so its e1
 orbit is exactly the one-dimensional chaos game of the e1 components and
 likewise for e2.
 
+All three run through one engine that works in blocks of BLOCK steps: it
+draws the block's floats in stream order, selects with select_indices,
+min(searchsorted(cum, u, side="right"), n - 1), which is the right-open
+rule of select_index with its last-bin clamp, tallies with bincount, and
+advances each component as its own sequential recurrence in Python
+floats, so every point rounds exactly as in a scalar loop.  The scalar
+reference is checks.replay_component_game, built on select_index.
+
 Selection counts are tallied from the first iteration on, including the
 burn-in prefix, while recorded points start after it.
 """
@@ -23,8 +31,12 @@ from enum import Enum
 import numpy as np
 
 from .numbers import ZERO, Hyperbolic
-from .probability import Mode, NotFullMode, accumulated_distribution, marginals
+from .probability import accumulated_distribution, marginals
 from .rng import Xoshiro256PP
+
+# Steps per engine block: the draws, selections and orbit of one block
+# are held in memory at once.
+BLOCK = 1 << 16
 
 
 class Variant(Enum):
@@ -110,59 +122,77 @@ def select_index(cum, u):
     return len(cum) - 1
 
 
+def select_indices(cum, u):
+    """select_index over an array of draws, bin for bin.
+
+    searchsorted(side="right") counts the sums at or below each draw,
+    which is the first index whose sum exceeds it; the minimum is the
+    last-bin clamp.
+    """
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
 def _require_variant(cfg, variant):
     if cfg.variant is not variant:
         raise ValueError(f"config variant is {cfg.variant.value}, expected {variant.value}")
 
 
-def _run_single_selection(ifs, cfg):
-    probs = accumulated_distribution(ifs.dist).probs
-    cum = cumulative(probs)
-    coeffs = [(f.kappa.e1, f.kappa.e2, f.beta.e1, f.beta.e2) for f in ifs.maps]
-    counts = [0] * len(coeffs)
-    rng = Xoshiro256PP(cfg.seed)
-    next_float = rng.next_float
-    burn_in = cfg.burn_in
-    x1 = cfg.start.e1
-    x2 = cfg.start.e2
-    out1 = []
-    out2 = []
-    push1 = out1.append
-    push2 = out2.append
-    for i in range(cfg.iterations):
-        u = next_float()
-        j = 0
-        for c in cum:
-            if u < c:
-                break
-            j += 1
-        if j == len(cum):
-            j -= 1
-        counts[j] += 1
-        c1, c2, b1, b2 = coeffs[j]
-        x1 = c1 * x1 + b1
-        x2 = c2 * x2 + b2
-        if i >= burn_in:
-            push1(x1)
-            push2(x2)
-    return PointCloud(
-        np.asarray(out1, dtype=np.float64),
-        np.asarray(out2, dtype=np.float64),
-        cfg,
-        np.asarray(counts, dtype=np.int64),
-    )
+def _play(ifs, cfg, cums):
+    """The one chaos-game engine: one draw and one selection per entry of cums.
+
+    e1 follows the first selection and e2 the last, so one cumulative
+    list plays a whole-map game and two play the split game.  Tallies
+    count the selections read as base-n digits, first selection first.
+    """
+    n = len(ifs.maps)
+    per_step = len(cums)
+    kappa = np.array([(f.kappa.e1, f.kappa.e2) for f in ifs.maps]).T
+    beta = np.array([(f.beta.e1, f.beta.e2) for f in ifs.maps]).T
+    counts = np.zeros(n**per_step, dtype=np.int64)
+    recorded = cfg.iterations - cfg.burn_in
+    out = (np.empty(recorded), np.empty(recorded))
+    x = [cfg.start.e1, cfg.start.e2]
+    next_float = Xoshiro256PP(cfg.seed).next_float
+    for lo in range(0, cfg.iterations, BLOCK):
+        m = min(BLOCK, cfg.iterations - lo)
+        u = np.array([next_float() for _ in range(per_step * m)])
+        picks = [select_indices(cum, u[d::per_step]) for d, cum in enumerate(cums)]
+        key = picks[0]
+        for p in picks[1:]:
+            key = key * n + p
+        counts += np.bincount(key, minlength=counts.size)
+        skip = max(cfg.burn_in - lo, 0)
+        for c, pick in enumerate((picks[0], picks[-1])):
+            # Python floats, one step after the other: the rounding of a scalar loop.
+            ks = kappa[c][pick].tolist()
+            bs = beta[c][pick].tolist()
+            xc = x[c]
+            orbit = [xc := k * xc + b for k, b in zip(ks, bs)]
+            x[c] = xc
+            if skip < m:
+                out[c][lo + skip - cfg.burn_in : lo + m - cfg.burn_in] = orbit[skip:]
+    return PointCloud(out[0], out[1], cfg, counts)
+
+
+def run(ifs, cfg):
+    """Play the chaos game named by cfg.variant."""
+    if cfg.variant is Variant.D_CHAOS:
+        dists = marginals(ifs.dist)
+    else:
+        dists = [accumulated_distribution(ifs.dist)]
+    return _play(ifs, cfg, [cumulative(d.probs) for d in dists])
 
 
 def run_classical(ifs, cfg):
     """Whole-map chaos game; selection via the real selection probabilities."""
     _require_variant(cfg, Variant.CLASSICAL)
-    return _run_single_selection(ifs, cfg)
+    return run(ifs, cfg)
 
 
 def run_hyperbolic(ifs, cfg):
     """Chaos game on the hyperbolic plane; same control flow, hyperbolic weights."""
     _require_variant(cfg, Variant.HYPERBOLIC)
-    return _run_single_selection(ifs, cfg)
+    return run(ifs, cfg)
 
 
 def run_d_chaos(ifs, cfg):
@@ -173,64 +203,4 @@ def run_d_chaos(ifs, cfg):
     s*n + t.
     """
     _require_variant(cfg, Variant.D_CHAOS)
-    if ifs.dist.mode is not Mode.FULL:
-        raise NotFullMode("the split chaos game needs a FULL-mode distribution")
-    m1, m2 = marginals(ifs.dist)
-    cum1 = cumulative(m1.probs)
-    cum2 = cumulative(m2.probs)
-    n = len(ifs.maps)
-    coeffs1 = [(f.kappa.e1, f.beta.e1) for f in ifs.maps]
-    coeffs2 = [(f.kappa.e2, f.beta.e2) for f in ifs.maps]
-    counts = [0] * (n * n)
-    rng = Xoshiro256PP(cfg.seed)
-    next_float = rng.next_float
-    burn_in = cfg.burn_in
-    x1 = cfg.start.e1
-    x2 = cfg.start.e2
-    out1 = []
-    out2 = []
-    push1 = out1.append
-    push2 = out2.append
-    for i in range(cfg.iterations):
-        u = next_float()
-        s = 0
-        for c in cum1:
-            if u < c:
-                break
-            s += 1
-        if s == n:
-            s -= 1
-        u = next_float()
-        t = 0
-        for c in cum2:
-            if u < c:
-                break
-            t += 1
-        if t == n:
-            t -= 1
-        counts[s * n + t] += 1
-        c1, b1 = coeffs1[s]
-        c2, b2 = coeffs2[t]
-        x1 = c1 * x1 + b1
-        x2 = c2 * x2 + b2
-        if i >= burn_in:
-            push1(x1)
-            push2(x2)
-    return PointCloud(
-        np.asarray(out1, dtype=np.float64),
-        np.asarray(out2, dtype=np.float64),
-        cfg,
-        np.asarray(counts, dtype=np.int64),
-    )
-
-
-_RUNNERS = {
-    Variant.CLASSICAL: run_classical,
-    Variant.HYPERBOLIC: run_hyperbolic,
-    Variant.D_CHAOS: run_d_chaos,
-}
-
-
-def run(ifs, cfg):
-    """Dispatch to the runner matching cfg.variant."""
-    return _RUNNERS[cfg.variant](ifs, cfg)
+    return run(ifs, cfg)

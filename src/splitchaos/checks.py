@@ -1,10 +1,10 @@
 """Self-checks for a system: attractor membership, tallies, decoupling.
 
-These back the `verify` command.  Each check runs a seeded game and
-compares it against an independent yardstick: a deep union-of-images
-sample of the attractor, binomial bounds on the selection tallies, and a
-replay of the split game's e1 coordinate as a plain one-dimensional
-game.
+These back the `verify` command.  Each check compares a seeded game
+against an independent yardstick: a deep union-of-images sample of the
+attractor, binomial bounds on the selection tallies (these two share one
+hyperbolic game), and a replay of the split game's e1 coordinate as a
+plain one-dimensional game.
 """
 
 import math
@@ -46,10 +46,8 @@ def nearest_componentwise(cloud, reference_points):
     return dist
 
 
-def attractor_membership(ifs, iterations, seed):
-    """Nearly all recorded points must sit by the deep attractor sample."""
-    cfg = RunConfig(Variant.HYPERBOLIC, seed, iterations)
-    cloud = run_hyperbolic(ifs, cfg)
+def attractor_membership(ifs, cloud):
+    """Nearly all recorded points of a game must sit by the deep attractor sample."""
     oracle = iterate_hutchinson(ifs.maps, [ZERO], ORACLE_DEPTH)
     dist = nearest_componentwise(cloud, oracle)
     fraction = float(np.mean(dist > MEMBERSHIP_TOL))
@@ -62,10 +60,9 @@ def attractor_membership(ifs, iterations, seed):
     )
 
 
-def tally_convergence(ifs, iterations, seed):
-    """Per-map selection tallies must sit within 3 sigma of expectation."""
-    cfg = RunConfig(Variant.HYPERBOLIC, seed, iterations)
-    cloud = run_hyperbolic(ifs, cfg)
+def tally_convergence(ifs, cloud):
+    """Per-map selection tallies of a whole-map game must sit within 3 sigma of expectation."""
+    iterations = cloud.config.iterations
     probs = accumulated_distribution(ifs.dist).probs
     worst = 0.0
     for count, p in zip(cloud.selection_counts, probs):
@@ -87,7 +84,8 @@ def replay_component_game(ifs, cfg, component=0):
 
     Draws per step exactly as the split game does (e1 selection first,
     then e2) and advances only the requested component, yielding the
-    coordinate sequence the split run must reproduce.
+    coordinate sequence the split run must reproduce.  A plain scalar
+    loop over select_index: the reference the block engine is held to.
     """
     m1, m2 = marginals(ifs.dist)
     cums = [cumulative(m1.probs), cumulative(m2.probs)]
@@ -125,8 +123,10 @@ def decoupling(ifs, iterations, seed):
 
 
 def run_all(ifs, iterations, seed):
+    """Every check; membership and tallies share one hyperbolic game."""
+    cloud = run_hyperbolic(ifs, RunConfig(Variant.HYPERBOLIC, seed, iterations))
     return [
-        attractor_membership(ifs, iterations, seed),
-        tally_convergence(ifs, iterations, seed),
+        attractor_membership(ifs, cloud),
+        tally_convergence(ifs, cloud),
         decoupling(ifs, iterations, seed),
     ]

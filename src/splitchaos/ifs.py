@@ -114,12 +114,7 @@ def hutchinson_step(maps, points):
     Points are snapped to the SNAP grid and de-duplicated; the result is
     sorted by (e1, e2) so the operation is deterministic.
     """
-    points = list(points)
-    if not points:
-        raise EmptySet("hutchinson step needs a nonempty point set")
-    coeffs = [(f.kappa.e1, f.kappa.e2, f.beta.e1, f.beta.e2) for f in maps]
-    keys = {_snap_key(p.e1, p.e2) for p in points}
-    return _keys_to_points(_step_keys(coeffs, keys))
+    return iterate_hutchinson(maps, points, 1)
 
 
 def iterate_hutchinson(maps, points, depth):

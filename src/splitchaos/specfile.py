@@ -8,13 +8,15 @@ The document shape is:
       "probs": [{"e1": p1, "e2": p2}, ...]
     }
 
-with maps and probs the same nonempty length.  Validation failures carry
-the JSON path of the offending field.  Two systems ship with the
+with maps and probs the same nonempty length and every map's attractor
+bound |beta|/(1-kappa) finite in both components.  Validation failures
+carry the JSON path of the offending field.  Two systems ship with the
 package: "sierpinski" (three half-scale maps, uniform weights) and
 "sierpinski_hpd2" (same maps, lopsided componentwise weights).
 """
 
 import json
+import math
 from importlib import resources
 
 from .ifs import AffineContraction, HyperbolicIFS
@@ -56,11 +58,11 @@ def _hyperbolic(node, path):
 
 def parse_spec(text):
     """Parse and validate a JSON system description into a HyperbolicIFS."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("top level must be an object")
@@ -85,6 +87,9 @@ def parse_spec(text):
             maps.append(AffineContraction(kappa, beta))
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
+        for k, b in ((kappa.e1, beta.e1), (kappa.e2, beta.e2)):
+            if not math.isfinite(abs(b) / (1.0 - k)):
+                raise ValidationError(f"{path}: attractor bound |beta|/(1-kappa) is not finite")
     probs = [_hyperbolic(node, f"probs[{i}]") for i, node in enumerate(doc["probs"])]
     try:
         dist = HyperbolicDistribution.validate(probs)

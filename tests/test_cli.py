@@ -68,9 +68,28 @@ def test_bundled_lopsided():
         bundled_spec("nonexistent")
 
 
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+BAD_UTF8 = b'{"maps": [\xff]}'
+
+
 def test_parse_rejects_malformed_json():
-    with pytest.raises(ParseError):
-        parse_spec(b"{not json")
+    for text in (b"{not json", DEEP_JSON, BAD_UTF8):
+        with pytest.raises(ParseError):
+            parse_spec(text)
+
+
+def test_malformed_spec_bytes_exit_one_without_traceback(tmp_path):
+    for text in (DEEP_JSON, BAD_UTF8):
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitchaos", "entropy", "--spec", str(spec)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: malformed JSON")
+        assert proc.stderr.count("\n") == 1
 
 
 def _spec_doc(**overrides):
@@ -113,6 +132,38 @@ def test_parse_validates_shape():
     doc = _spec_doc(probs=[{"e1": 1.0, "e2": 1.0}])
     with pytest.raises(ValidationError):
         parse_spec(json.dumps(doc))
+
+
+def _unbounded_doc():
+    doc = _spec_doc()
+    doc["maps"][1] = {"kappa": {"e1": 0.5, "e2": 0.9}, "beta": {"e1": 0.5, "e2": 1e308}}
+    return doc
+
+
+def test_parse_rejects_unbounded_attractor():
+    # Each number is finite, but the e2 attractor bound 1e308/(1-0.9) is not.
+    with pytest.raises(ValidationError) as exc_info:
+        parse_spec(json.dumps(_unbounded_doc()))
+    assert "maps[1]" in str(exc_info.value)
+
+
+def test_generate_rejects_unbounded_attractor(tmp_path, capsys):
+    spec = tmp_path / "far.json"
+    spec.write_text(json.dumps(_unbounded_doc()))
+    csv_path = tmp_path / "far.csv"
+    code = main(
+        [
+            "generate",
+            "--spec", str(spec),
+            "--variant", "hyperbolic",
+            "--iterations", "1000",
+            "--seed", "1",
+            "--csv", str(csv_path),
+        ]
+    )
+    assert code == 1
+    assert "maps[1]" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_parse_rejects_non_numbers():
