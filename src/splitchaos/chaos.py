@@ -38,6 +38,10 @@ from .rng import Xoshiro256PP
 # are held in memory at once.
 BLOCK = 1 << 16
 
+# Most points a run may record: two float64 arrays of this length take
+# 4 GiB, so larger requests fail fast instead of exhausting memory.
+MAX_RECORDED = 1 << 28
+
 
 class Variant(Enum):
     CLASSICAL = "classical"
@@ -61,6 +65,11 @@ class RunConfig:
         if self.iterations <= self.burn_in:
             raise ValueError(
                 f"iterations ({self.iterations}) must exceed burn_in ({self.burn_in})"
+            )
+        if self.iterations - self.burn_in > MAX_RECORDED:
+            raise ValueError(
+                f"iterations - burn_in ({self.iterations - self.burn_in}) exceeds"
+                f" the {MAX_RECORDED} points a run may record"
             )
 
 

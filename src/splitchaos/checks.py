@@ -5,13 +5,15 @@ against an independent yardstick: a deep union-of-images sample of the
 attractor, binomial bounds on the selection tallies (these two share one
 hyperbolic game), and a replay of the split game's e1 coordinate as a
 plain one-dimensional game.
+
+The membership check queries a cKDTree; scipy is imported inside
+nearest_componentwise, so `generate` and `entropy` never load it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .chaos import (
     RunConfig,
@@ -38,10 +40,14 @@ class CheckResult:
     detail: str
 
 
-def nearest_componentwise(cloud, reference_points):
-    """Max-component distance from each cloud point to its nearest reference."""
-    ref = np.array([(p.e1, p.e2) for p in reference_points])
-    tree = cKDTree(ref)
+def nearest_componentwise(cloud, reference):
+    """Max-component distance from each cloud point to its nearest reference point.
+
+    Both arguments carry e1/e2 arrays (a PointCloud, a PointSet).
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(np.column_stack([reference.e1, reference.e2]))
     dist, _ = tree.query(np.column_stack([cloud.e1, cloud.e2]), p=np.inf, workers=-1)
     return dist
 

@@ -15,7 +15,7 @@ from .checks import run_all
 from .entropy import verify_inequalities
 from .numbers import Hyperbolic
 from .probability import DistributionError
-from .raster import rasterize, write_csv, write_ppm
+from .raster import check_resolution, rasterize, write_csv, write_ppm
 from .specfile import load_spec
 
 
@@ -85,7 +85,9 @@ def _cmd_generate(args):
         args.iterations,
         burn_in=args.burn_in,
     )
-    extent = _parse_extent(args.extent) if args.image else None
+    if args.image:
+        check_resolution(args.resolution)
+        extent = _parse_extent(args.extent)
     cloud = run(ifs, cfg)
     if args.csv:
         with open(args.csv, "wb") as f:

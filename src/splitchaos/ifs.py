@@ -7,9 +7,17 @@ and the result is again a contraction whose factor mixes the two.
 
 The set-valued machinery (union-of-images step, componentwise Hausdorff
 distance) is used as a measuring stick for attractors, not for control
-flow.
+flow.  The union-of-images step works on arrays of grid keys: each
+coordinate x is held as the integer-valued float64 rint(x * 2^40), every
+map acts on every key at once, and a lexsort with an adjacent-difference
+mask removes duplicates.  The result is a PointSet, two read-only arrays
+sorted by (e1, e2) that read as a sequence of Hyperbolic values.  The
+points and their order are bit for bit those of a scalar loop over a set
+of round() key pairs; tests/test_oracle.py holds that loop as the
+reference.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,22 +98,54 @@ class HyperbolicIFS:
         return len(self.maps)
 
 
-def _snap_key(x1, x2):
-    return round(x1 * SNAP), round(x2 * SNAP)
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """A finite point set as two read-only coordinate arrays sorted by (e1, e2).
+
+    len, indexing and iteration give Hyperbolic values; == compares with
+    any sequence of points, point for point.
+    """
+
+    e1: np.ndarray
+    e2: np.ndarray
+
+    def __post_init__(self):
+        self.e1.setflags(write=False)
+        self.e2.setflags(write=False)
+
+    def __len__(self):
+        return len(self.e1)
+
+    def __getitem__(self, i):
+        return Hyperbolic(float(self.e1[i]), float(self.e2[i]))
+
+    def __iter__(self):
+        for a, b in zip(self.e1.tolist(), self.e2.tolist()):
+            yield Hyperbolic(a, b)
+
+    def __eq__(self, other):
+        if not isinstance(other, (PointSet, Sequence)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
-def _step_keys(coeffs, keys):
-    out = set()
-    for k1, k2 in keys:
-        x1 = k1 / SNAP
-        x2 = k2 / SNAP
-        for c1, c2, b1, b2 in coeffs:
-            out.add(_snap_key(c1 * x1 + b1, c2 * x2 + b2))
-    return out
+def _snap(x):
+    # Integer-valued float64 keys: rint rounds half to even like round(),
+    # and float64 holds every such integer exactly, where int64 would
+    # overflow once |x| >= 2**23.  Adding 0.0 turns rint's -0.0 into 0.0.
+    keys = np.rint(x * SNAP) + 0.0
+    if not np.isfinite(keys).all():
+        raise ValueError("point set leaves the float range of the snapping grid")
+    return keys
 
 
-def _keys_to_points(keys):
-    return [Hyperbolic(k1 / SNAP, k2 / SNAP) for k1, k2 in sorted(keys)]
+def _unique_sorted(k1, k2):
+    order = np.lexsort((k2, k1))
+    k1 = k1[order]
+    k2 = k2[order]
+    new = np.ones(len(k1), dtype=bool)
+    new[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
+    return k1[new], k2[new]
 
 
 def hutchinson_step(maps, points):
@@ -118,7 +158,7 @@ def hutchinson_step(maps, points):
 
 
 def iterate_hutchinson(maps, points, depth):
-    """Apply the union-of-images step `depth` times.
+    """Apply the union-of-images step `depth` times; return a PointSet.
 
     Starting from any point, depth iterations land within
     max_factor**depth * diameter of the attractor, so deep iterates
@@ -127,11 +167,18 @@ def iterate_hutchinson(maps, points, depth):
     points = list(points)
     if not points:
         raise EmptySet("hutchinson iteration needs a nonempty point set")
-    coeffs = [(f.kappa.e1, f.kappa.e2, f.beta.e1, f.beta.e2) for f in maps]
-    keys = {_snap_key(p.e1, p.e2) for p in points}
-    for _ in range(depth):
-        keys = _step_keys(coeffs, keys)
-    return _keys_to_points(keys)
+    kappa = np.array([(f.kappa.e1, f.kappa.e2) for f in maps], dtype=np.float64).reshape(-1, 2).T
+    beta = np.array([(f.beta.e1, f.beta.e2) for f in maps], dtype=np.float64).reshape(-1, 2).T
+    e1 = np.array([p.e1 for p in points])
+    e2 = np.array([p.e2 for p in points])
+    # An overflow surfaces as a non-finite key, which _snap rejects.
+    with np.errstate(over="ignore"):
+        keys = _unique_sorted(_snap(e1), _snap(e2))
+        for _ in range(depth):
+            # Every map at once, rounded as the scalar c*x + b: multiply, then add.
+            e1, e2 = (np.multiply.outer(kappa[c], keys[c] / SNAP) + beta[c][:, None] for c in (0, 1))
+            keys = _unique_sorted(_snap(e1.ravel()), _snap(e2.ravel()))
+    return PointSet(keys[0] / SNAP, keys[1] / SNAP)
 
 
 def _directed_1d(u, v_sorted):

@@ -13,6 +13,9 @@ import numpy as np
 
 from .numbers import Hyperbolic
 
+# Largest image side: the int64 counts of an 8192^2 grid take 512 MiB.
+MAX_RESOLUTION = 8192
+
 
 class DegenerateExtent(ValueError):
     """Extent has zero width in some component."""
@@ -32,14 +35,19 @@ class DensityGrid:
     overflow: int
 
 
+def check_resolution(resolution):
+    """Reject an image side outside [2, MAX_RESOLUTION] with a ValueError."""
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
+
+
 def rasterize(cloud, resolution, extent):
     """Bin cloud points into a resolution x resolution grid by truncation.
 
     Points on the far edges belong to the last cell (the extent is a
     closed box); points strictly outside are dropped and tallied.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    check_resolution(resolution)
     lo, hi = extent
     w1 = hi.e1 - lo.e1
     w2 = hi.e2 - lo.e2

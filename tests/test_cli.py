@@ -8,11 +8,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from splitchaos.chaos import PointCloud, RunConfig, Variant
+from splitchaos.chaos import MAX_RECORDED, PointCloud, RunConfig, Variant
 from splitchaos.cli import main
 from splitchaos.numbers import ZERO, Hyperbolic, embed
 from splitchaos.probability import Mode
 from splitchaos.raster import (
+    MAX_RESOLUTION,
     DegenerateExtent,
     rasterize,
     read_csv,
@@ -435,3 +436,105 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "h_strong" in proc.stdout
+
+
+# -- bounds, lazy scipy, names the traced benchmark run patches ----------------
+
+
+def _generate_argv(*extra):
+    return [
+        "generate",
+        "--spec", SIERPINSKI_PATH,
+        "--variant", "hyperbolic",
+        "--seed", "1",
+        *extra,
+    ]
+
+
+def test_generate_rejects_resolution_above_bound(tmp_path, capsys):
+    image = tmp_path / "big.ppm"
+    argv = _generate_argv(
+        "--iterations", "1000",
+        "--image", str(image),
+        "--resolution", str(MAX_RESOLUTION + 1),
+    )
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolution") and err.count("\n") == 1
+    assert not image.exists()
+    with pytest.raises(ValueError):
+        rasterize(_tiny_cloud([0.0], [0.0]), MAX_RESOLUTION + 1, (ZERO, embed(1.0)))
+
+
+def test_run_config_bounds_recorded_points():
+    # The bound itself is accepted; nothing is allocated by RunConfig.
+    RunConfig(Variant.HYPERBOLIC, 1, MAX_RECORDED + 100, burn_in=100)
+    with pytest.raises(ValueError):
+        RunConfig(Variant.HYPERBOLIC, 1, MAX_RECORDED + 101, burn_in=100)
+
+
+def test_generate_rejects_recorded_points_above_bound(tmp_path, capsys):
+    csv_path = tmp_path / "big.csv"
+    argv = _generate_argv("--iterations", str(MAX_RECORDED + 101), "--csv", str(csv_path))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: iterations - burn_in") and err.count("\n") == 1
+    assert not csv_path.exists()
+
+
+def test_verify_rejects_oracle_beyond_float_range(tmp_path):
+    # A valid system whose attractor reaches 2e300: its 2^-40 snapping keys overflow.
+    doc = _spec_doc()
+    doc["maps"][1]["beta"]["e1"] = 1e300
+    spec = tmp_path / "far.json"
+    spec.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitchaos", "verify", "--spec", str(spec),
+         "--iterations", "1000", "--seed", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: point set") and proc.stderr.count("\n") == 1
+
+
+def test_generate_and_entropy_do_not_load_scipy(tmp_path):
+    code = (
+        "import sys, splitchaos.cli\n"
+        "a = sys.argv[1:]\n"
+        "assert splitchaos.cli.main(['generate', *a]) == 0\n"
+        "assert splitchaos.cli.main(['entropy', '--spec', a[1]]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    argv = _generate_argv(
+        "--iterations", "2000",
+        "--image", str(tmp_path / "x.ppm"),
+        "--csv", str(tmp_path / "x.csv"),
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv[1:]], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_names_the_traced_benchmark_run_patches_exist():
+    # bench/traced.py replaces these module attributes by name.
+    from splitchaos import chaos, checks, cli
+
+    patched = {
+        chaos: ["Xoshiro256PP"],
+        checks: [
+            "Xoshiro256PP",
+            "run_hyperbolic",
+            "run_d_chaos",
+            "replay_component_game",
+            "iterate_hutchinson",
+            "nearest_componentwise",
+            "attractor_membership",
+            "tally_convergence",
+            "decoupling",
+        ],
+        cli: ["run", "load_spec", "write_csv", "rasterize", "write_ppm", "run_all"],
+    }
+    for module, names in patched.items():
+        for name in names:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
