@@ -30,6 +30,7 @@ from enum import Enum
 
 import numpy as np
 
+from .ifs import coefficients
 from .numbers import ZERO, Hyperbolic
 from .probability import accumulated_distribution, marginals
 from .rng import Xoshiro256PP
@@ -80,13 +81,16 @@ class PointCloud:
     e1/e2 hold the idempotent coordinates of the points recorded after
     burn-in, in order.  selection_counts has one tally per map, or one
     per (s, t) pair in row-major order for the split variant, summing to
-    the total iteration count.
+    the total iteration count.  picks, kept only when the game is asked
+    for them, holds the first selection of every iteration, burn-in
+    included: the whole map of a classical or hyperbolic game.
     """
 
     e1: np.ndarray
     e2: np.ndarray
     config: RunConfig
     selection_counts: np.ndarray = field(repr=False)
+    picks: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.e1)
@@ -146,26 +150,29 @@ def _require_variant(cfg, variant):
         raise ValueError(f"config variant is {cfg.variant.value}, expected {variant.value}")
 
 
-def _play(ifs, cfg, cums):
+def _play(ifs, cfg, cums, keep_picks):
     """The one chaos-game engine: one draw and one selection per entry of cums.
 
     e1 follows the first selection and e2 the last, so one cumulative
     list plays a whole-map game and two play the split game.  Tallies
     count the selections read as base-n digits, first selection first.
+    With keep_picks the first selection of every step is kept as well.
     """
     n = len(ifs.maps)
     per_step = len(cums)
-    kappa = np.array([(f.kappa.e1, f.kappa.e2) for f in ifs.maps]).T
-    beta = np.array([(f.beta.e1, f.beta.e2) for f in ifs.maps]).T
+    kappa, beta = coefficients(ifs.maps)
     counts = np.zeros(n**per_step, dtype=np.int64)
     recorded = cfg.iterations - cfg.burn_in
     out = (np.empty(recorded), np.empty(recorded))
+    kept = np.empty(cfg.iterations, dtype=np.min_scalar_type(n - 1)) if keep_picks else None
     x = [cfg.start.e1, cfg.start.e2]
     next_float = Xoshiro256PP(cfg.seed).next_float
     for lo in range(0, cfg.iterations, BLOCK):
         m = min(BLOCK, cfg.iterations - lo)
         u = np.array([next_float() for _ in range(per_step * m)])
         picks = [select_indices(cum, u[d::per_step]) for d, cum in enumerate(cums)]
+        if keep_picks:
+            kept[lo : lo + m] = picks[0]
         key = picks[0]
         for p in picks[1:]:
             key = key * n + p
@@ -180,16 +187,20 @@ def _play(ifs, cfg, cums):
             x[c] = xc
             if skip < m:
                 out[c][lo + skip - cfg.burn_in : lo + m - cfg.burn_in] = orbit[skip:]
-    return PointCloud(out[0], out[1], cfg, counts)
+    return PointCloud(out[0], out[1], cfg, counts, kept)
 
 
-def run(ifs, cfg):
-    """Play the chaos game named by cfg.variant."""
+def run(ifs, cfg, keep_picks=False):
+    """Play the chaos game named by cfg.variant.
+
+    keep_picks also hands back the selection of every iteration as
+    cloud.picks, for checks that name points by their addresses.
+    """
     if cfg.variant is Variant.D_CHAOS:
         dists = marginals(ifs.dist)
     else:
         dists = [accumulated_distribution(ifs.dist)]
-    return _play(ifs, cfg, [cumulative(d.probs) for d in dists])
+    return _play(ifs, cfg, [cumulative(d.probs) for d in dists], keep_picks)
 
 
 def run_classical(ifs, cfg):
@@ -198,10 +209,10 @@ def run_classical(ifs, cfg):
     return run(ifs, cfg)
 
 
-def run_hyperbolic(ifs, cfg):
+def run_hyperbolic(ifs, cfg, keep_picks=False):
     """Chaos game on the hyperbolic plane; same control flow, hyperbolic weights."""
     _require_variant(cfg, Variant.HYPERBOLIC)
-    return run(ifs, cfg)
+    return run(ifs, cfg, keep_picks)
 
 
 def run_d_chaos(ifs, cfg):

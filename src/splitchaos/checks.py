@@ -6,12 +6,20 @@ attractor, binomial bounds on the selection tallies (these two share one
 hyperbolic game), and a replay of the split game's e1 coordinate as a
 plain one-dimensional game.
 
-The membership check queries a cKDTree; scipy is imported inside
-nearest_componentwise, so `generate` and `entropy` never load it.
+Membership is settled by addresses first.  A recorded point is the
+image of an earlier one under the game's last ORACLE_DEPTH maps, and
+the same maps applied to 0 with the oracle's arithmetic land on a point
+of the depth-ORACLE_DEPTH sample, so its distance bounds the distance
+to the nearest sample point.  Only the points this leaves open are
+queried against the sample itself, built by iterate_hutchinson (at most
+MAX_ORACLE_POINTS of it) and searched with a cKDTree.  scipy is imported
+inside nearest_componentwise, so it loads only on that fallback and
+never for `generate` or `entropy`.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,7 +31,7 @@ from .chaos import (
     run_hyperbolic,
     select_index,
 )
-from .ifs import iterate_hutchinson
+from .ifs import SNAP, _snap, coefficients, iterate_hutchinson
 from .numbers import ZERO
 from .probability import Mode, accumulated_distribution, marginals
 from .rng import Xoshiro256PP
@@ -31,6 +39,11 @@ from .rng import Xoshiro256PP
 ORACLE_DEPTH = 12
 MEMBERSHIP_TOL = 2.0**-10
 MEMBERSHIP_MAX_OUTLIERS = 1e-3
+# Most images the membership fallback may enumerate.  Building the sample
+# peaks at ~62 bytes per image and querying its cKDTree at ~80 (measured
+# with tracemalloc on the bundled 3^12), so 4^12 = 2^24 images, every
+# system of up to four maps, stay near 1.3 GB.
+MAX_ORACLE_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -52,11 +65,58 @@ def nearest_componentwise(cloud, reference):
     return dist
 
 
+def address_points(maps, cloud, depth):
+    """The sample points named by the game's own selections, one per recorded point.
+
+    Recorded point r comes from iteration n = burn_in + r, so it is the
+    image of an earlier point under the maps picked at iterations
+    n - depth + 1, ..., n.  Applying them in that order to 0, multiply
+    then add and snap after each map as iterate_hutchinson does, gives a
+    member of iterate_hutchinson(maps, [ZERO], depth), bit for bit.
+    Needs cloud.picks.  Returns the first recorded index with depth
+    selections behind it and the e1/e2 arrays of its point and every
+    later one.
+    """
+    burn_in = cloud.config.burn_in
+    first = min(max(depth - 1 - burn_in, 0), len(cloud))
+    m = len(cloud) - first
+    lo = burn_in + first - depth + 1
+    kappa, beta = coefficients(maps)
+    keys = (np.zeros(m), np.zeros(m))
+    # An overflow surfaces as a non-finite key, which _snap rejects.
+    with np.errstate(over="ignore"):
+        for j in range(lo, lo + depth):
+            pick = cloud.picks[j : j + m]
+            keys = tuple(_snap(kappa[c][pick] * (keys[c] / SNAP) + beta[c][pick]) for c in (0, 1))
+    return first, keys[0] / SNAP, keys[1] / SNAP
+
+
 def attractor_membership(ifs, cloud):
-    """Nearly all recorded points of a game must sit by the deep attractor sample."""
-    oracle = iterate_hutchinson(ifs.maps, [ZERO], ORACLE_DEPTH)
-    dist = nearest_componentwise(cloud, oracle)
-    fraction = float(np.mean(dist > MEMBERSHIP_TOL))
+    """Nearly all recorded points of a game must sit by the deep attractor sample.
+
+    A point whose address names a sample point within MEMBERSHIP_TOL is
+    inside; the rest (every point when the cloud carries no picks) are
+    measured against the sample, whose n^ORACLE_DEPTH images must not
+    exceed MAX_ORACLE_POINTS.
+    """
+    left_open = np.ones(len(cloud), dtype=bool)
+    if cloud.picks is not None:
+        first, a1, a2 = address_points(ifs.maps, cloud, ORACLE_DEPTH)
+        bound = np.maximum(np.abs(cloud.e1[first:] - a1), np.abs(cloud.e2[first:] - a2))
+        left_open[first:] = ~(bound <= MEMBERSHIP_TOL)
+    rest = SimpleNamespace(e1=cloud.e1[left_open], e2=cloud.e2[left_open])
+    outliers = 0
+    if len(rest.e1):
+        images = len(ifs.maps) ** ORACLE_DEPTH
+        if images > MAX_ORACLE_POINTS:
+            raise ValueError(
+                f"{len(rest.e1)} of {len(cloud)} points are not certified by their address,"
+                f" and the depth-{ORACLE_DEPTH} sample of {len(ifs.maps)} maps"
+                f" ({images} images) exceeds the {MAX_ORACLE_POINTS} points it may hold"
+            )
+        oracle = iterate_hutchinson(ifs.maps, [ZERO], ORACLE_DEPTH)
+        outliers = int(np.count_nonzero(nearest_componentwise(rest, oracle) > MEMBERSHIP_TOL))
+    fraction = outliers / len(cloud)
     passed = fraction < MEMBERSHIP_MAX_OUTLIERS
     return CheckResult(
         "attractor-membership",
@@ -130,7 +190,7 @@ def decoupling(ifs, iterations, seed):
 
 def run_all(ifs, iterations, seed):
     """Every check; membership and tallies share one hyperbolic game."""
-    cloud = run_hyperbolic(ifs, RunConfig(Variant.HYPERBOLIC, seed, iterations))
+    cloud = run_hyperbolic(ifs, RunConfig(Variant.HYPERBOLIC, seed, iterations), keep_picks=True)
     return [
         attractor_membership(ifs, cloud),
         tally_convergence(ifs, cloud),

@@ -129,6 +129,13 @@ class PointSet:
         return list(self) == list(other)
 
 
+def coefficients(maps):
+    """kappa and beta of every map as two (2, n) float64 arrays, row 0 for e1."""
+    kappa = np.array([(f.kappa.e1, f.kappa.e2) for f in maps], dtype=np.float64).reshape(-1, 2).T
+    beta = np.array([(f.beta.e1, f.beta.e2) for f in maps], dtype=np.float64).reshape(-1, 2).T
+    return kappa, beta
+
+
 def _snap(x):
     # Integer-valued float64 keys: rint rounds half to even like round(),
     # and float64 holds every such integer exactly, where int64 would
@@ -167,8 +174,7 @@ def iterate_hutchinson(maps, points, depth):
     points = list(points)
     if not points:
         raise EmptySet("hutchinson iteration needs a nonempty point set")
-    kappa = np.array([(f.kappa.e1, f.kappa.e2) for f in maps], dtype=np.float64).reshape(-1, 2).T
-    beta = np.array([(f.beta.e1, f.beta.e2) for f in maps], dtype=np.float64).reshape(-1, 2).T
+    kappa, beta = coefficients(maps)
     e1 = np.array([p.e1 for p in points])
     e2 = np.array([p.e2 for p in points])
     # An overflow surfaces as a non-finite key, which _snap rejects.

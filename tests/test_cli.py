@@ -498,6 +498,55 @@ def test_verify_rejects_oracle_beyond_float_range(tmp_path):
     assert proc.stderr.startswith("error: point set") and proc.stderr.count("\n") == 1
 
 
+def _write_spec(path, maps, probs):
+    path.write_text(json.dumps({
+        "maps": [
+            {"kappa": {"e1": k1, "e2": k2}, "beta": {"e1": b1, "e2": b2}}
+            for k1, k2, b1, b2 in maps
+        ],
+        "probs": [{"e1": p1, "e2": p2} for p1, p2 in probs],
+    }))
+    return str(path)
+
+
+def test_verify_certifies_five_map_system(tmp_path, capsys):
+    # 5^12 sample points would not fit; the addresses certify every point instead.
+    maps = [(0.3, 0.3, 0.7 * (i % 3) / 2, 0.7 * (i // 3)) for i in range(5)]
+    probs = [(0.1, 0.3), (0.15, 0.25), (0.2, 0.2), (0.25, 0.15), (0.3, 0.1)]
+    spec = _write_spec(tmp_path / "five.json", maps, probs)
+    code = main(["verify", "--spec", spec, "--iterations", "20000", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.count("PASS") == 3
+
+
+def test_verify_rejects_sample_beyond_bound(tmp_path, capsys):
+    # Factors up to 0.9 leave points uncertified, and 16^12 sample points exceed the bound.
+    maps = []
+    for i in range(16):
+        k = 0.5 + 0.4 * i / 15
+        maps.append((k, k, (1 - k) * (i % 4) / 3, (1 - k) * (i // 4) / 3))
+    spec = _write_spec(tmp_path / "wide.json", maps, [(1 / 16, 1 / 16)] * 16)
+    code = main(["verify", "--spec", spec, "--iterations", "2000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not certified" in captured.err
+
+
+def test_verify_certified_run_does_not_load_scipy():
+    code = (
+        "import sys, splitchaos.cli\n"
+        "assert splitchaos.cli.main(sys.argv[1:]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    argv = ["verify", "--spec", SIERPINSKI_PATH, "--iterations", "2000", "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_generate_and_entropy_do_not_load_scipy(tmp_path):
     code = (
         "import sys, splitchaos.cli\n"

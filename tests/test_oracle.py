@@ -6,15 +6,34 @@ points in the same order with the same bits, signs of zero included,
 for negative translations, keys far beyond the int64 range, maps that
 collide on the snapping grid, and coordinates half-way between grid
 points.
+
+The address certificate of the membership check is held to the same
+reference: every point it names must be a member of the oracle, bit for
+bit, and attractor_membership must give the CheckResult of the plain
+query of every point against the whole oracle.
 """
+
+import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitchaos.ifs import SNAP, AffineContraction, PointSet, iterate_hutchinson
-from splitchaos.numbers import E1, ONE, ZERO, Hyperbolic
+from splitchaos import checks
+from splitchaos.chaos import RunConfig, Variant, run_hyperbolic
+from splitchaos.checks import (
+    MEMBERSHIP_MAX_OUTLIERS,
+    MEMBERSHIP_TOL,
+    CheckResult,
+    address_points,
+    attractor_membership,
+    nearest_componentwise,
+)
+from splitchaos.ifs import SNAP, AffineContraction, HyperbolicIFS, PointSet, iterate_hutchinson
+from splitchaos.numbers import E1, ONE, ZERO, Hyperbolic, embed
+from splitchaos.probability import HyperbolicDistribution
 from splitchaos.specfile import BUNDLED, bundled_spec
 
 
@@ -131,3 +150,179 @@ def test_oracle_rejects_keys_beyond_float_range():
     far = AffineContraction(Hyperbolic(0.5, 0.5), Hyperbolic(1e300, 0.0))
     with pytest.raises(ValueError):
         iterate_hutchinson([far], [ZERO], 1)
+
+
+# -- membership by address certificate ----------------------------------------
+
+
+def reference_membership(ifs, cloud):
+    """attractor_membership as a plain query of every point against the whole oracle."""
+    oracle = iterate_hutchinson(ifs.maps, [ZERO], checks.ORACLE_DEPTH)
+    dist = nearest_componentwise(cloud, oracle)
+    fraction = float(np.mean(dist > MEMBERSHIP_TOL))
+    passed = fraction < MEMBERSHIP_MAX_OUTLIERS
+    return CheckResult(
+        "attractor-membership",
+        passed,
+        f"{fraction:.2e} of points beyond 2^-10 of the depth-{checks.ORACLE_DEPTH} sample"
+        f" (limit {MEMBERSHIP_MAX_OUTLIERS:.0e})",
+    )
+
+
+def reference_address(maps, window):
+    """The maps of one window applied to 0 with round() keys, as the scalar oracle does."""
+    k1 = k2 = 0
+    for i in window:
+        f = maps[i]
+        k1, k2 = _snap_key(
+            f.kappa.e1 * (k1 / SNAP) + f.beta.e1, f.kappa.e2 * (k2 / SNAP) + f.beta.e2
+        )
+    return k1 / SNAP, k2 / SNAP
+
+
+def _uniform(maps):
+    maps = tuple(maps)
+    return HyperbolicIFS(maps, HyperbolicDistribution.validate([embed(1.0 / len(maps))] * len(maps)))
+
+
+def _bit_pairs(e1, e2):
+    return set(zip(np.asarray(e1).view(np.uint64).tolist(), np.asarray(e2).view(np.uint64).tolist()))
+
+
+NEAR_ONE = 1.0 - 2.0**-20
+game_factor = st.one_of(
+    # Zero, powers of two (exact products) and a factor so close to 1 that
+    # no address certifies its points.
+    st.sampled_from([0.0, 0.125, 0.25, 0.5, NEAR_ONE]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+game_translation = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+game_map = st.builds(
+    AffineContraction,
+    st.builds(Hyperbolic, game_factor, game_factor),
+    st.builds(Hyperbolic, game_translation, game_translation),
+)
+
+
+@st.composite
+def membership_cases(draw):
+    """(ifs, cfg, depth, keep_picks): short games, burn-ins on either side of the depth."""
+    ifs = _uniform(draw(st.lists(game_map, min_size=1, max_size=3)))
+    depth = draw(st.integers(0, 6))
+    iterations = draw(st.integers(1, 300))
+    burn_in = draw(st.integers(0, min(iterations - 1, 15)))
+    start = Hyperbolic(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    cfg = RunConfig(Variant.HYPERBOLIC, seed, iterations, burn_in=burn_in, start=start)
+    return ifs, cfg, depth, draw(st.booleans())
+
+
+SIERPINSKI = bundled_spec("sierpinski")
+LOPSIDED = bundled_spec("sierpinski_hpd2")
+POWERS_OF_TWO = _uniform([AffineContraction(embed(0.5), ZERO), AffineContraction(embed(0.25), ZERO)])
+NEGATIVE = _uniform(
+    [
+        AffineContraction(Hyperbolic(0.5, 0.25), Hyperbolic(-0.75, -1.5)),
+        AffineContraction(Hyperbolic(0.0, 0.5), Hyperbolic(-0.25, 0.5)),
+    ]
+)
+SLOW = _uniform([AffineContraction(embed(NEAR_ONE), ZERO), AffineContraction(embed(NEAR_ONE), ONE)])
+FAR_START = Hyperbolic(5.0, -5.0)
+
+
+def _membership_examples(test):
+    cases = [
+        # The bundled systems at the real depth: every point certified.
+        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000), 12, True),
+        (LOPSIDED, RunConfig(Variant.HYPERBOLIC, 7, 3000), 12, True),
+        # Burn-in shorter than the depth: the first points have too few selections.
+        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 2, 400, burn_in=3), 12, True),
+        # A far start: the early bounds are too large and those points are outliers.
+        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 3, 400, burn_in=0, start=FAR_START), 12, True),
+        # No selections to name addresses by: the whole cloud is queried.
+        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 4, 400), 12, False),
+        (POWERS_OF_TWO, RunConfig(Variant.HYPERBOLIC, 5, 300, burn_in=0, start=ONE), 6, True),
+        (NEGATIVE, RunConfig(Variant.HYPERBOLIC, 6, 300, burn_in=20), 6, True),
+        (SLOW, RunConfig(Variant.HYPERBOLIC, 8, 300, burn_in=0), 6, True),
+        (_uniform([AffineContraction(ZERO, Hyperbolic(-0.5, 0.5))]), RunConfig(Variant.HYPERBOLIC, 9, 50, burn_in=0), 0, True),
+    ]
+    for case in cases:
+        test = example(case=case)(test)
+    return test
+
+
+def _play(case):
+    ifs, cfg, depth, keep = case
+    cloud = run_hyperbolic(ifs, cfg, keep_picks=True)
+    return ifs, cloud if keep else dataclasses.replace(cloud, picks=None), depth
+
+
+@_membership_examples
+@settings(max_examples=100, deadline=None)
+@given(case=membership_cases())
+def test_address_points_are_sample_members(case):
+    ifs, cloud, depth = _play(case)
+    if cloud.picks is None:
+        return
+    cfg = cloud.config
+    first, e1, e2 = address_points(ifs.maps, cloud, depth)
+    assert first == min(max(depth - 1 - cfg.burn_in, 0), len(cloud))
+    assert len(e1) == len(e2) == len(cloud) - first
+    picks = cloud.picks.tolist()
+    want = [
+        reference_address(ifs.maps, picks[n - depth + 1 : n + 1])
+        for n in range(cfg.burn_in + first, cfg.iterations)
+    ]
+    assert e1.tobytes() == _bits([a for a, _ in want])
+    assert e2.tobytes() == _bits([b for _, b in want])
+    oracle = iterate_hutchinson(ifs.maps, [ZERO], depth)
+    assert _bit_pairs(e1, e2) <= _bit_pairs(oracle.e1, oracle.e2)
+
+
+@_membership_examples
+@settings(max_examples=100, deadline=None)
+@given(case=membership_cases())
+def test_membership_matches_full_query(case):
+    ifs, cloud, depth = _play(case)
+    with mock.patch.object(checks, "ORACLE_DEPTH", depth):
+        assert attractor_membership(ifs, cloud) == reference_membership(ifs, cloud)
+
+
+def _refuse(*args):
+    raise AssertionError("the sample was built or queried")
+
+
+def test_certified_cloud_builds_no_sample():
+    cloud = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000), keep_picks=True)
+    with mock.patch.object(checks, "iterate_hutchinson", _refuse), mock.patch.object(
+        checks, "nearest_componentwise", _refuse
+    ):
+        assert attractor_membership(SIERPINSKI, cloud).passed
+
+
+def test_fallback_queries_only_open_points():
+    cfg = RunConfig(Variant.HYPERBOLIC, 3, 400, burn_in=0, start=FAR_START)
+    cloud = run_hyperbolic(SIERPINSKI, cfg, keep_picks=True)
+    queried = []
+
+    def spy(points, reference):
+        queried.append(len(points.e1))
+        return nearest_componentwise(points, reference)
+
+    with mock.patch.object(checks, "nearest_componentwise", spy):
+        result = attractor_membership(SIERPINSKI, cloud)
+    # The eleven points with too few selections, and a few more far from the attractor.
+    assert 11 <= queried[0] < 40
+    assert result == reference_membership(SIERPINSKI, cloud)
+
+
+def test_fallback_sample_is_bounded_before_it_is_built():
+    cfg = RunConfig(Variant.HYPERBOLIC, 1, 400)
+    cloud = run_hyperbolic(SIERPINSKI, cfg, keep_picks=True)
+    bare = dataclasses.replace(cloud, picks=None)
+    with mock.patch.object(checks, "MAX_ORACLE_POINTS", 3**12 - 1):
+        # Every point certified: the bound is never consulted.
+        assert attractor_membership(SIERPINSKI, cloud).passed
+        with mock.patch.object(checks, "iterate_hutchinson", _refuse):
+            with pytest.raises(ValueError, match="not certified"):
+                attractor_membership(SIERPINSKI, bare)
