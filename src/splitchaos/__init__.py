@@ -3,7 +3,7 @@ and chaos-game fractal generation."""
 
 from .chaos import PointCloud, RunConfig, Variant, run, run_classical, run_d_chaos, run_hyperbolic
 from .entropy import EntropyReport, shannon, strong_entropy, verify_inequalities, weak_entropy
-from .ifs import AffineContraction, HyperbolicIFS, hausdorff, hutchinson_step, iterate_hutchinson, splice
+from .ifs import AffineContraction, HyperbolicIFS, PointSet, hausdorff, iterate_hutchinson, splice
 from .numbers import E1, E2, ONE, ZERO, Hyperbolic, Order, embed
 from .probability import (
     HyperbolicDistribution,
@@ -32,6 +32,7 @@ __all__ = [
     "ONE",
     "Order",
     "PointCloud",
+    "PointSet",
     "RealDistribution",
     "RunConfig",
     "Variant",
@@ -42,7 +43,6 @@ __all__ = [
     "bundled_spec",
     "embed",
     "hausdorff",
-    "hutchinson_step",
     "iterate_hutchinson",
     "load_spec",
     "marginals",

@@ -21,8 +21,10 @@ advances each component as its own sequential recurrence in Python
 floats, so every point rounds exactly as in a scalar loop.  The scalar
 reference is checks.replay_component_game, built on select_index.
 
-Selection counts are tallied from the first iteration on, including the
-burn-in prefix, while recorded points start after it.
+A run returns a PointCloud: the ifs.PointSet of its recorded points,
+with its config, its selection tallies and, on request, its picks.
+Tallies count from the first iteration on, burn-in included, while
+recorded points start after it.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ifs import coefficients
+from .ifs import PointSet, coefficients
 from .numbers import ZERO, Hyperbolic
 from .probability import accumulated_distribution, marginals
 from .rng import Xoshiro256PP
@@ -74,9 +76,9 @@ class RunConfig:
             )
 
 
-@dataclass(eq=False)
-class PointCloud:
-    """Recorded orbit of one run: coordinate arrays plus selection tallies.
+@dataclass(frozen=True, eq=False)
+class PointCloud(PointSet):
+    """Recorded orbit of one run: a PointSet plus the run that played it.
 
     e1/e2 hold the idempotent coordinates of the points recorded after
     burn-in, in order.  selection_counts has one tally per map, or one
@@ -86,21 +88,9 @@ class PointCloud:
     included: the whole map of a classical or hyperbolic game.
     """
 
-    e1: np.ndarray
-    e2: np.ndarray
     config: RunConfig
     selection_counts: np.ndarray = field(repr=False)
     picks: np.ndarray | None = field(default=None, repr=False)
-
-    def __len__(self):
-        return len(self.e1)
-
-    def point(self, i):
-        return Hyperbolic(float(self.e1[i]), float(self.e2[i]))
-
-    def __iter__(self):
-        for a, b in zip(self.e1, self.e2):
-            yield Hyperbolic(float(a), float(b))
 
     def __eq__(self, other):
         if not isinstance(other, PointCloud):

@@ -19,7 +19,6 @@ never for `generate` or `entropy`.
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .chaos import (
     run_hyperbolic,
     select_index,
 )
-from .ifs import SNAP, _snap, coefficients, iterate_hutchinson
+from .ifs import SNAP, PointSet, _snap, coefficients, iterate_hutchinson
 from .numbers import ZERO
 from .probability import Mode, accumulated_distribution, marginals
 from .rng import Xoshiro256PP
@@ -56,7 +55,7 @@ class CheckResult:
 def nearest_componentwise(cloud, reference):
     """Max-component distance from each cloud point to its nearest reference point.
 
-    Both arguments carry e1/e2 arrays (a PointCloud, a PointSet).
+    Both arguments are PointSets; a PointCloud is one.
     """
     from scipy.spatial import cKDTree
 
@@ -104,13 +103,13 @@ def attractor_membership(ifs, cloud):
         first, a1, a2 = address_points(ifs.maps, cloud, ORACLE_DEPTH)
         bound = np.maximum(np.abs(cloud.e1[first:] - a1), np.abs(cloud.e2[first:] - a2))
         left_open[first:] = ~(bound <= MEMBERSHIP_TOL)
-    rest = SimpleNamespace(e1=cloud.e1[left_open], e2=cloud.e2[left_open])
+    rest = PointSet(cloud.e1[left_open], cloud.e2[left_open])
     outliers = 0
-    if len(rest.e1):
+    if len(rest):
         images = len(ifs.maps) ** ORACLE_DEPTH
         if images > MAX_ORACLE_POINTS:
             raise ValueError(
-                f"{len(rest.e1)} of {len(cloud)} points are not certified by their address,"
+                f"{len(rest)} of {len(cloud)} points are not certified by their address,"
                 f" and the depth-{ORACLE_DEPTH} sample of {len(ifs.maps)} maps"
                 f" ({images} images) exceeds the {MAX_ORACLE_POINTS} points it may hold"
             )

@@ -99,40 +99,32 @@ def _cmd_generate(args):
     return 0
 
 
-def _scaled(value, bits):
-    return value / math.log(2.0) if bits else value
+def _text(value):
+    if isinstance(value, Hyperbolic):
+        return value.to_text()
+    if isinstance(value, bool):
+        return "holds" if value else "VIOLATED"
+    return repr(value)
 
 
 def _cmd_entropy(args):
     ifs = load_spec(args.spec)
     report = verify_inequalities(ifs.dist)
-    b = args.bits
+    scale = math.log(2.0) if args.bits else 1.0
+    rows = [(name, getattr(report, name) / scale) for name in ("h_strong", "h_weak", "h_q", "h_k")]
+    rows += [(name, getattr(report, name)) for name in ("ineq_q", "ineq_k")]
     if args.as_json:
-        doc = {
-            "h_strong_e1": _scaled(report.h_strong.e1, b),
-            "h_strong_e2": _scaled(report.h_strong.e2, b),
-            "h_weak_e1": _scaled(report.h_weak.e1, b),
-            "h_weak_e2": _scaled(report.h_weak.e2, b),
-            "h_q": _scaled(report.h_q, b),
-            "h_k_e1": _scaled(report.h_k.e1, b),
-            "h_k_e2": _scaled(report.h_k.e2, b),
-            "ineq_q": report.ineq_q,
-            "ineq_k": report.ineq_k,
-        }
+        doc = {}
+        for name, value in rows:
+            if isinstance(value, Hyperbolic):
+                doc[f"{name}_e1"], doc[f"{name}_e2"] = value.e1, value.e2
+            else:
+                doc[name] = value
         print(json.dumps(doc, indent=2))
         return 0
-    unit = "bits" if b else "nats"
-    rows = [
-        ("h_strong", f"E1 {_scaled(report.h_strong.e1, b)!r} E2 {_scaled(report.h_strong.e2, b)!r}"),
-        ("h_weak", f"E1 {_scaled(report.h_weak.e1, b)!r} E2 {_scaled(report.h_weak.e2, b)!r}"),
-        ("h_q", f"{_scaled(report.h_q, b)!r}"),
-        ("h_k", f"E1 {_scaled(report.h_k.e1, b)!r} E2 {_scaled(report.h_k.e2, b)!r}"),
-        ("ineq_q", "holds" if report.ineq_q else "VIOLATED"),
-        ("ineq_k", "holds" if report.ineq_k else "VIOLATED"),
-    ]
-    print(f"entropy report ({unit})")
+    print(f"entropy report ({'bits' if args.bits else 'nats'})")
     for name, value in rows:
-        print(f"  {name:<9} {value}")
+        print(f"  {name:<9} {_text(value)}")
     return 0
 
 

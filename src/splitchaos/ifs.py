@@ -5,16 +5,18 @@ of kappa sit in [0, 1).  Because the action is componentwise, the e1
 action of one contraction can be spliced with the e2 action of another
 and the result is again a contraction whose factor mixes the two.
 
+PointSet is the package's one point container: two read-only float64
+coordinate arrays that read as a sequence of Hyperbolic values.  A
+union-of-images sample is one, and so is a game's chaos.PointCloud.
+
 The set-valued machinery (union-of-images step, componentwise Hausdorff
 distance) is used as a measuring stick for attractors, not for control
-flow.  The union-of-images step works on arrays of grid keys: each
-coordinate x is held as the integer-valued float64 rint(x * 2^40), every
-map acts on every key at once, and a lexsort with an adjacent-difference
-mask removes duplicates.  The result is a PointSet, two read-only arrays
-sorted by (e1, e2) that read as a sequence of Hyperbolic values.  The
-points and their order are bit for bit those of a scalar loop over a set
-of round() key pairs; tests/test_oracle.py holds that loop as the
-reference.
+flow, and works on those arrays.  The union-of-images step holds each
+coordinate x as the integer-valued float64 key rint(x * 2^40), applies
+every map to every key at once, and removes duplicates with a lexsort
+and an adjacent-difference mask.  The points and their order are bit
+for bit those of a scalar loop over a set of round() key pairs;
+tests/test_oracle.py holds that loop as the reference.
 """
 
 from collections.abc import Sequence
@@ -100,7 +102,7 @@ class HyperbolicIFS:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """A finite point set as two read-only coordinate arrays sorted by (e1, e2).
+    """A finite point set as two read-only float64 coordinate arrays.
 
     len, indexing and iteration give Hyperbolic values; == compares with
     any sequence of points, point for point.
@@ -113,6 +115,14 @@ class PointSet:
         self.e1.setflags(write=False)
         self.e2.setflags(write=False)
 
+    @staticmethod
+    def of(points):
+        """points itself if it is a PointSet, else its Hyperbolic values as one."""
+        if isinstance(points, PointSet):
+            return points
+        e1, e2 = np.array([(p.e1, p.e2) for p in points], dtype=np.float64).reshape(-1, 2).T
+        return PointSet(e1, e2)
+
     def __len__(self):
         return len(self.e1)
 
@@ -120,8 +130,7 @@ class PointSet:
         return Hyperbolic(float(self.e1[i]), float(self.e2[i]))
 
     def __iter__(self):
-        for a, b in zip(self.e1.tolist(), self.e2.tolist()):
-            yield Hyperbolic(a, b)
+        return map(Hyperbolic, self.e1.tolist(), self.e2.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, (PointSet, Sequence)):
@@ -155,31 +164,22 @@ def _unique_sorted(k1, k2):
     return k1[new], k2[new]
 
 
-def hutchinson_step(maps, points):
-    """Union of the images of every point under every map.
-
-    Points are snapped to the SNAP grid and de-duplicated; the result is
-    sorted by (e1, e2) so the operation is deterministic.
-    """
-    return iterate_hutchinson(maps, points, 1)
-
-
 def iterate_hutchinson(maps, points, depth):
     """Apply the union-of-images step `depth` times; return a PointSet.
 
-    Starting from any point, depth iterations land within
-    max_factor**depth * diameter of the attractor, so deep iterates
-    serve as a reference sample of it.
+    Each step maps every point by every map, snaps the images to the
+    SNAP grid and de-duplicates them.  The result is sorted by (e1, e2),
+    so the operation is deterministic.  Starting from any point, depth
+    iterations land within max_factor**depth * diameter of the
+    attractor, so deep iterates serve as a reference sample of it.
     """
-    points = list(points)
-    if not points:
+    points = PointSet.of(points)
+    if not len(points):
         raise EmptySet("hutchinson iteration needs a nonempty point set")
     kappa, beta = coefficients(maps)
-    e1 = np.array([p.e1 for p in points])
-    e2 = np.array([p.e2 for p in points])
     # An overflow surfaces as a non-finite key, which _snap rejects.
     with np.errstate(over="ignore"):
-        keys = _unique_sorted(_snap(e1), _snap(e2))
+        keys = _unique_sorted(_snap(points.e1), _snap(points.e2))
         for _ in range(depth):
             # Every map at once, rounded as the scalar c*x + b: multiply, then add.
             e1, e2 = (np.multiply.outer(kappa[c], keys[c] / SNAP) + beta[c][:, None] for c in (0, 1))
@@ -195,8 +195,7 @@ def _directed_1d(u, v_sorted):
 
 
 def _hausdorff_1d(a, b):
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a, b = np.sort(a), np.sort(b)
     return max(_directed_1d(a, b), _directed_1d(b, a))
 
 
@@ -207,10 +206,7 @@ def hausdorff(a, b):
     likewise for e2; the hyperbolic-valued combination is not a metric,
     which is why it only serves as a yardstick.
     """
-    a = list(a)
-    b = list(b)
-    if not a or not b:
+    a, b = PointSet.of(a), PointSet.of(b)
+    if not len(a) or not len(b):
         raise EmptySet("hausdorff distance needs two nonempty sets")
-    d1 = _hausdorff_1d([p.e1 for p in a], [p.e1 for p in b])
-    d2 = _hausdorff_1d([p.e2 for p in a], [p.e2 for p in b])
-    return Hyperbolic(d1, d2)
+    return Hyperbolic(_hausdorff_1d(a.e1, b.e1), _hausdorff_1d(a.e2, b.e2))

@@ -1,17 +1,16 @@
-"""Point-cloud serialization: density grids, binary PPM images, CSV.
+"""Point-set output: density grids, binary PPM images, CSV.
 
-The grid maps e1 to the horizontal axis and e2 to the vertical axis with
-the origin at the bottom-left.  Images are 8-bit grayscale P6 with
-log-scaled intensity (white on black) so sparse structure stays visible;
-identical grids produce identical bytes.
+Each writer reads the e1/e2 arrays of an ifs.PointSet, such as a run's
+chaos.PointCloud.  The grid maps e1 to the horizontal axis and e2 to the
+vertical axis with the origin at the bottom-left.  Images are 8-bit
+grayscale P6 with log-scaled intensity (white on black) so sparse
+structure stays visible; identical grids produce identical bytes.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numbers import Hyperbolic
 
 # Largest image side: the int64 counts of an 8192^2 grid take 512 MiB.
 MAX_RESOLUTION = 8192
@@ -53,8 +52,7 @@ def rasterize(cloud, resolution, extent):
     w2 = hi.e2 - lo.e2
     if w1 <= 0.0 or w2 <= 0.0:
         raise DegenerateExtent(f"extent widths must be positive, got ({w1}, {w2})")
-    x1 = np.asarray(cloud.e1, dtype=np.float64)
-    x2 = np.asarray(cloud.e2, dtype=np.float64)
+    x1, x2 = cloud.e1, cloud.e2
     inside = (x1 >= lo.e1) & (x1 <= hi.e1) & (x2 >= lo.e2) & (x2 <= hi.e2)
     ix = np.floor((x1[inside] - lo.e1) / w1 * resolution).astype(np.int64)
     iy = np.floor((x2[inside] - lo.e2) / w2 * resolution).astype(np.int64)
@@ -85,25 +83,8 @@ def write_ppm(grid, out):
 def write_csv(cloud, out):
     """Write "index,e1,e2" rows with round-trip decimals and LF endings."""
     out.write(b"index,e1,e2\n")
-    chunk = []
-    for i, (a, b) in enumerate(zip(cloud.e1, cloud.e2)):
-        chunk.append(f"{i},{float(a)!r},{float(b)!r}\n")
-        if len(chunk) >= 65536:
-            out.write("".join(chunk).encode("ascii"))
-            chunk = []
-    if chunk:
-        out.write("".join(chunk).encode("ascii"))
-
-
-def read_csv(data):
-    """Parse write_csv output back into a list of points."""
-    lines = data.decode("ascii").split("\n")
-    if not lines or lines[0] != "index,e1,e2":
-        raise ValueError("missing 'index,e1,e2' header")
-    points = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        _, a, b = line.split(",")
-        points.append(Hyperbolic(float(a), float(b)))
-    return points
+    # 2^14-row chunks bound the text held at once; repr of a Python float is its round-trip decimal.
+    for lo in range(0, len(cloud), 1 << 14):
+        hi = lo + (1 << 14)
+        rows = zip(range(lo, hi), cloud.e1[lo:hi].tolist(), cloud.e2[lo:hi].tolist())
+        out.write("".join(f"{i},{a!r},{b!r}\n" for i, a, b in rows).encode("ascii"))

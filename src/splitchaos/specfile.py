@@ -37,7 +37,10 @@ class ValidationError(ValueError):
 def _number(node, path):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {node!r}")
-    return float(node)
+    try:
+        return float(node)
+    except OverflowError:
+        raise ValidationError(f"{path}: integer beyond the float range") from None
 
 
 def _hyperbolic(node, path):
@@ -62,7 +65,7 @@ def parse_spec(text):
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         doc = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("top level must be an object")

@@ -7,16 +7,19 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import splitchaos
 from splitchaos.chaos import MAX_RECORDED, PointCloud, RunConfig, Variant
 from splitchaos.cli import main
+from splitchaos.ifs import HyperbolicIFS
 from splitchaos.numbers import ZERO, Hyperbolic, embed
 from splitchaos.probability import Mode
 from splitchaos.raster import (
     MAX_RESOLUTION,
     DegenerateExtent,
     rasterize,
-    read_csv,
     write_csv,
     write_ppm,
 )
@@ -71,16 +74,18 @@ def test_bundled_lopsided():
 
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 BAD_UTF8 = b'{"maps": [\xff]}'
+# A literal of more digits than int() converts by default (4,300).
+LONG_LITERAL = b'{"maps": [' + b"1" * 5000 + b"]}"
 
 
 def test_parse_rejects_malformed_json():
-    for text in (b"{not json", DEEP_JSON, BAD_UTF8):
+    for text in (b"{not json", DEEP_JSON, BAD_UTF8, LONG_LITERAL):
         with pytest.raises(ParseError):
             parse_spec(text)
 
 
 def test_malformed_spec_bytes_exit_one_without_traceback(tmp_path):
-    for text in (DEEP_JSON, BAD_UTF8):
+    for text in (DEEP_JSON, BAD_UTF8, LONG_LITERAL):
         spec = tmp_path / "bad.json"
         spec.write_bytes(text)
         proc = subprocess.run(
@@ -167,12 +172,69 @@ def test_generate_rejects_unbounded_attractor(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def _beyond_float_doc():
+    # An integer literal within int()'s digit limit but beyond the float range.
+    doc = _spec_doc()
+    doc["maps"][1]["beta"]["e2"] = 10**400
+    return doc
+
+
 def test_parse_rejects_non_numbers():
     doc = _spec_doc()
     doc["probs"][0]["e1"] = "0.5"
     with pytest.raises(ValidationError) as exc_info:
         parse_spec(json.dumps(doc))
     assert "probs[0].e1" in str(exc_info.value)
+    with pytest.raises(ValidationError) as exc_info:
+        parse_spec(json.dumps(_beyond_float_doc()))
+    assert "maps[1].beta.e2" in str(exc_info.value)
+    assert "0" * 400 not in str(exc_info.value)
+
+
+def test_spec_integer_beyond_float_exits_one_without_traceback(tmp_path):
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(_beyond_float_doc()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitchaos", "entropy", "--spec", str(spec)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: maps[1].beta.e2")
+    assert proc.stderr.count("\n") == 1
+
+
+# Every number of the two-map document of _spec_doc, by its path of keys.
+SPEC_LEAVES = [
+    ("maps", i, field, part) for i in (0, 1) for field in ("kappa", "beta") for part in ("e1", "e2")
+] + [("probs", i, part) for i in (0, 1) for part in ("e1", "e2")]
+
+JSON_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf=st.sampled_from(SPEC_LEAVES), value=JSON_JUNK)
+def test_parse_spec_raises_only_its_own_errors(leaf, value):
+    doc = _spec_doc()
+    node = doc
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    try:
+        assert isinstance(parse_spec(json.dumps(doc)), HyperbolicIFS)
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_load_spec_round_trip(tmp_path):
@@ -249,16 +311,22 @@ def test_write_csv_single_point(tmp_path):
     assert path.read_bytes() == b"index,e1,e2\n0,0.5,0.5\n"
 
 
+def _csv_rows(data):
+    """The (index, e1, e2) rows of write_csv output, parsed with int and float."""
+    lines = data.decode("ascii").split("\n")
+    assert lines[0] == "index,e1,e2" and lines[-1] == ""
+    return [(int(i), float(a), float(b)) for i, a, b in (line.split(",") for line in lines[1:-1])]
+
+
 def test_csv_round_trip():
     cloud = _tiny_cloud([0.1, 0.25, 1.0 / 3.0], [0.9, 0.5, 2.0 / 3.0])
     import io
 
     buf = io.BytesIO()
     write_csv(cloud, buf)
-    points = read_csv(buf.getvalue())
-    assert points == [cloud.point(i) for i in range(3)]
-    with pytest.raises(ValueError):
-        read_csv(b"wrong,header\n")
+    rows = _csv_rows(buf.getvalue())
+    assert [i for i, _, _ in rows] == [0, 1, 2]
+    assert [Hyperbolic(a, b) for _, a, b in rows] == [cloud[i] for i in range(3)]
 
 
 # -- command line -----------------------------------------------------------------
@@ -317,8 +385,8 @@ def test_generate_d_chaos_csv(tmp_path):
         ]
     )
     assert code == 0
-    points = read_csv(csv_path.read_bytes())
-    assert len(points) == 4900  # default burn-in 100
+    rows = _csv_rows(csv_path.read_bytes())
+    assert len(rows) == 4900  # default burn-in 100
 
 
 def test_generate_with_custom_extent(tmp_path):
@@ -409,6 +477,27 @@ def test_entropy_bits_flag(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["h_q"] - math.log(9.0) / math.log(2.0)) < 1e-12
     assert abs(doc["h_strong_e1"] - math.log2(3.0)) < 1e-9
+
+
+# sha256 of the entropy report's stdout for each bundled system and output form.
+ENTROPY_GOLDEN = {
+    ("sierpinski", ()): "c8724de5b1bf9b546488cb0b27cf8a8993f9a49d609cb71203e20be5bfa17d6c",
+    ("sierpinski", ("--bits",)): "9081af090ce4bad6b410c3ce2562b5d23189214aaf6a2ba7f7bdc97543fdab09",
+    ("sierpinski", ("--json",)): "2c1c2e4d49969d27651ac5fd093f38ee67364d343f115df935760b49343517c3",
+    ("sierpinski", ("--json", "--bits")): "2faa6d31ea27c6da0f11fe07078045aa76303755cf349d31af8d7e1daee4bead",
+    ("sierpinski_hpd2", ()): "8659d8b871b680c1f408d570aa8c12f554f85a96e37612cc5b68837303266cef",
+    ("sierpinski_hpd2", ("--bits",)): "e478e1544d0ca23be09917811d3d18e49e56b58416d45a0c334eb948fb41b50e",
+    ("sierpinski_hpd2", ("--json",)): "37cd364f73281409cb17bf05df47e462df9afaa7c306d7f5cfcb87dee7eecec3",
+    ("sierpinski_hpd2", ("--json", "--bits")): "8966844878dfb79da4f70e4b359599c8f30166d26e5460a816313c88bd7314a8",
+}
+
+
+@pytest.mark.parametrize("name, flags", sorted(ENTROPY_GOLDEN))
+def test_entropy_golden_output(name, flags, capsys):
+    spec = str(resources.files("splitchaos") / "data" / f"{name}.json")
+    assert main(["entropy", "--spec", spec, *flags]) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(out).hexdigest() == ENTROPY_GOLDEN[name, flags]
 
 
 def test_verify_passes_on_bundled_system(capsys):
@@ -587,3 +676,9 @@ def test_names_the_traced_benchmark_run_patches_exist():
     for module, names in patched.items():
         for name in names:
             assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+
+def test_every_exported_name_resolves():
+    for name in splitchaos.__all__:
+        assert hasattr(splitchaos, name), name
+    assert len(set(splitchaos.__all__)) == len(splitchaos.__all__)

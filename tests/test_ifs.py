@@ -10,7 +10,6 @@ from splitchaos.ifs import (
     HyperbolicIFS,
     InvalidContraction,
     hausdorff,
-    hutchinson_step,
     iterate_hutchinson,
     splice,
 )
@@ -103,13 +102,13 @@ def test_ifs_shape_validation(uniform_thirds):
 
 
 def test_hutchinson_step_at_origin():
-    got = hutchinson_step(TRIANGLE_MAPS, [ZERO])
+    got = iterate_hutchinson(TRIANGLE_MAPS, [ZERO], 1)
     assert got == [ZERO, Hyperbolic(0.25, 0.5), Hyperbolic(0.5, 0.0)]
 
 
 def test_hutchinson_step_single_map_halves():
     pts = [Hyperbolic(1.0, 0.5), Hyperbolic(0.25, 0.875)]
-    got = hutchinson_step([F1], pts)
+    got = iterate_hutchinson([F1], pts, 1)
     assert got == sorted(
         (Hyperbolic(p.e1 / 2, p.e2 / 2) for p in pts), key=lambda p: (p.e1, p.e2)
     )
@@ -118,13 +117,13 @@ def test_hutchinson_step_single_map_halves():
 def test_hutchinson_step_deduplicates():
     # Two maps sending different points to the same image.
     f = AffineContraction(ZERO, Hyperbolic(0.25, 0.25))
-    got = hutchinson_step([f], [ZERO, ONE, E1])
+    got = iterate_hutchinson([f], [ZERO, ONE, E1], 1)
     assert got == [Hyperbolic(0.25, 0.25)]
 
 
 def test_hutchinson_rejects_empty():
     with pytest.raises(EmptySet):
-        hutchinson_step(TRIANGLE_MAPS, [])
+        iterate_hutchinson(TRIANGLE_MAPS, [], 1)
     with pytest.raises(EmptySet):
         iterate_hutchinson(TRIANGLE_MAPS, [], 3)
 
@@ -132,11 +131,9 @@ def test_hutchinson_rejects_empty():
 def test_hutchinson_diameters_shrink_geometrically():
     pts = [ZERO, ONE]
     for depth in range(1, 8):
-        pts = hutchinson_step(TRIANGLE_MAPS, pts)
-        e1s = [p.e1 for p in pts]
-        e2s = [p.e2 for p in pts]
+        pts = iterate_hutchinson(TRIANGLE_MAPS, pts, 1)
         # Per-map image diameter halves each step; the union stays in the box.
-        assert max(e1s) - min(e1s) <= 1.0
+        assert pts.e1.max() - pts.e1.min() <= 1.0
         spread = hausdorff(pts, iterate_hutchinson(TRIANGLE_MAPS, pts, 1))
         assert spread.compare(embed(2.0**-depth) + SLACK) in (Order.LESS, Order.EQUAL)
 
@@ -145,7 +142,7 @@ def test_successive_iterates_settle_monotonically():
     prev = iterate_hutchinson(TRIANGLE_MAPS, [ZERO], 3)
     gaps = []
     for _ in range(6):
-        nxt = hutchinson_step(TRIANGLE_MAPS, prev)
+        nxt = iterate_hutchinson(TRIANGLE_MAPS, prev, 1)
         gaps.append(hausdorff(prev, nxt))
         prev = nxt
     for a, b in zip(gaps, gaps[1:]):
@@ -226,8 +223,7 @@ def test_spliced_system_attractor_is_the_unit_box():
     # of the spliced family must come close to every corner of the box.
     spliced = [splice(fs, ft) for fs in TRIANGLE_MAPS for ft in TRIANGLE_MAPS]
     pts = iterate_hutchinson(spliced, [ZERO], 6)
-    e1s = np.array([p.e1 for p in pts])
-    e2s = np.array([p.e2 for p in pts])
+    e1s, e2s = pts.e1, pts.e2
     c1, _ = np.histogram(e1s, bins=64, range=(0.0, 1.0))
     c2, _ = np.histogram(e2s, bins=64, range=(0.0, 1.0))
     assert c1.min() >= 1 and c2.min() >= 1

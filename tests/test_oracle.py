@@ -143,6 +143,13 @@ def test_point_set_is_read_only():
         got.e1[0] = 1.0
     assert got != [Hyperbolic(0.25, -0.25)]
     assert (got == 3) is False
+    # A game's recorded orbit is the same container.
+    cloud = run_hyperbolic(_uniform(_COLLIDING), RunConfig(Variant.HYPERBOLIC, 1, 200))
+    assert isinstance(cloud, PointSet)
+    assert cloud[0] == Hyperbolic(float(cloud.e1[0]), float(cloud.e2[0]))
+    for coords in (cloud.e1, cloud.e2):
+        with pytest.raises(ValueError):
+            coords[0] = 1.0
 
 
 def test_oracle_rejects_keys_beyond_float_range():
