@@ -93,14 +93,12 @@ class PointCloud(PointSet):
     picks: np.ndarray | None = field(default=None, repr=False)
 
     def __eq__(self, other):
-        if not isinstance(other, PointCloud):
-            return NotImplemented
-        return (
-            self.config == other.config
-            and np.array_equal(self.e1, other.e1)
-            and np.array_equal(self.e2, other.e2)
-            and np.array_equal(self.selection_counts, other.selection_counts)
-        )
+        """Point for point as a PointSet; against another cloud, the run too."""
+        same = super().__eq__(other)
+        if isinstance(other, PointCloud):
+            same = same and self.config == other.config
+            same = same and np.array_equal(self.selection_counts, other.selection_counts)
+        return same
 
 
 def cumulative(probs):

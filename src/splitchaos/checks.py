@@ -8,9 +8,9 @@ plain one-dimensional game.
 
 Membership is settled by addresses first.  A recorded point is the
 image of an earlier one under the game's last ORACLE_DEPTH maps, and
-the same maps applied to 0 with the oracle's arithmetic land on a point
-of the depth-ORACLE_DEPTH sample, so its distance bounds the distance
-to the nearest sample point.  Only the points this leaves open are
+the same maps applied to 0 by the oracle's step, ifs.grid_step, land on
+a point of the depth-ORACLE_DEPTH sample, so its distance bounds the
+distance to the nearest sample point.  Only the points left open are
 queried against the sample itself, built by iterate_hutchinson (at most
 MAX_ORACLE_POINTS of it) and searched with a cKDTree.  scipy is imported
 inside nearest_componentwise, so it loads only on that fallback and
@@ -30,7 +30,7 @@ from .chaos import (
     run_hyperbolic,
     select_index,
 )
-from .ifs import SNAP, PointSet, _snap, coefficients, iterate_hutchinson
+from .ifs import PointSet, coefficients, grid_step, iterate_hutchinson
 from .numbers import ZERO
 from .probability import Mode, accumulated_distribution, marginals
 from .rng import Xoshiro256PP
@@ -69,9 +69,9 @@ def address_points(maps, cloud, depth):
 
     Recorded point r comes from iteration n = burn_in + r, so it is the
     image of an earlier point under the maps picked at iterations
-    n - depth + 1, ..., n.  Applying them in that order to 0, multiply
-    then add and snap after each map as iterate_hutchinson does, gives a
-    member of iterate_hutchinson(maps, [ZERO], depth), bit for bit.
+    n - depth + 1, ..., n.  Applying them in that order to 0 with
+    ifs.grid_step, the step iterate_hutchinson takes, gives a member of
+    iterate_hutchinson(maps, [ZERO], depth), bit for bit.
     Needs cloud.picks.  Returns the first recorded index with depth
     selections behind it and the e1/e2 arrays of its point and every
     later one.
@@ -81,13 +81,11 @@ def address_points(maps, cloud, depth):
     m = len(cloud) - first
     lo = burn_in + first - depth + 1
     kappa, beta = coefficients(maps)
-    keys = (np.zeros(m), np.zeros(m))
-    # An overflow surfaces as a non-finite key, which _snap rejects.
-    with np.errstate(over="ignore"):
-        for j in range(lo, lo + depth):
-            pick = cloud.picks[j : j + m]
-            keys = tuple(_snap(kappa[c][pick] * (keys[c] / SNAP) + beta[c][pick]) for c in (0, 1))
-    return first, keys[0] / SNAP, keys[1] / SNAP
+    x = (np.zeros(m), np.zeros(m))
+    for j in range(lo, lo + depth):
+        pick = cloud.picks[j : j + m]
+        x = tuple(grid_step(kappa[c][pick], x[c], beta[c][pick]) for c in (0, 1))
+    return first, x[0], x[1]
 
 
 def attractor_membership(ifs, cloud):

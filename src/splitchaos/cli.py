@@ -14,8 +14,7 @@ from .chaos import RunConfig, Variant, run
 from .checks import run_all
 from .entropy import verify_inequalities
 from .numbers import Hyperbolic
-from .probability import DistributionError
-from .raster import check_resolution, rasterize, write_csv, write_ppm
+from .raster import check_image, rasterize, write_csv, write_ppm
 from .specfile import load_spec
 
 
@@ -86,8 +85,8 @@ def _cmd_generate(args):
         burn_in=args.burn_in,
     )
     if args.image:
-        check_resolution(args.resolution)
         extent = _parse_extent(args.extent)
+        check_image(args.resolution, extent)
     cloud = run(ifs, cfg)
     if args.csv:
         with open(args.csv, "wb") as f:
@@ -147,7 +146,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except (DistributionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,10 @@
 """Shannon entropy and its two hyperbolic-valued generalizations.
 
-All entropies use natural logarithms and the 0*log(0) = 0 convention,
-applied per component.  The weak form replaces each weight's log argument
-by its accumulated real probability; the strong form takes the
-componentwise log of the hyperbolic weight itself, so for a FULL
-distribution its parts are the Shannon entropies of the two component
-marginals.
+All three are one sum, -sum(w * log(q)) in nats with the 0*log(0) = 0
+convention, taken per component for the hyperbolic forms.  The weak form
+logs each weight's accumulated real probability; the strong form logs
+the weight's own component, so each of its parts is Shannon's sum over
+that component's weights: for FULL mode, a component marginal's entropy.
 """
 
 import math
@@ -25,13 +24,18 @@ from .probability import (
 INEQ_SLACK = 1e-12
 
 
+def _entropy_sum(weights, args):
+    # -sum(w * log(q)) over paired weights and arguments; q == 0 adds 0 (0*log(0) = 0).
+    total = 0.0
+    for w, q in zip(weights, args):
+        if q != 0.0:
+            total -= w * math.log(q)
+    return total
+
+
 def shannon(d):
     """Shannon entropy (nats) of a RealDistribution."""
-    total = 0.0
-    for p in d.probs:
-        if p != 0.0:
-            total -= p * math.log(p)
-    return total
+    return _entropy_sum(d.probs, d.probs)
 
 
 def weak_entropy(d):
@@ -40,28 +44,18 @@ def weak_entropy(d):
     Terms whose accumulated probability is zero carry no mass and
     contribute nothing.
     """
-    result = Hyperbolic(0.0, 0.0)
-    for rho in d:
-        p = accumulated(rho)
-        if p != 0.0:
-            result = result + (-rho) * embed(math.log(p))
-    return result
+    p = [accumulated(rho) for rho in d]
+    return Hyperbolic(_entropy_sum((r.e1 for r in d), p), _entropy_sum((r.e2 for r in d), p))
 
 
 def strong_entropy(d):
     """Sum of -rho * Log(rho) with the zero convention per component.
 
-    Works in any mode: a dead component contributes 0 through the
-    convention.
+    Each part is Shannon's sum over that component's weights.  Works in
+    any mode: a dead component contributes 0 through the convention.
     """
-    e1 = 0.0
-    e2 = 0.0
-    for rho in d:
-        if rho.e1 != 0.0:
-            e1 -= rho.e1 * math.log(rho.e1)
-        if rho.e2 != 0.0:
-            e2 -= rho.e2 * math.log(rho.e2)
-    return Hyperbolic(e1, e2)
+    e1, e2 = zip(*((rho.e1, rho.e2) for rho in d))
+    return Hyperbolic(_entropy_sum(e1, e1), _entropy_sum(e2, e2))
 
 
 @dataclass(frozen=True)

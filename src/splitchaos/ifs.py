@@ -11,12 +11,10 @@ union-of-images sample is one, and so is a game's chaos.PointCloud.
 
 The set-valued machinery (union-of-images step, componentwise Hausdorff
 distance) is used as a measuring stick for attractors, not for control
-flow, and works on those arrays.  The union-of-images step holds each
-coordinate x as the integer-valued float64 key rint(x * 2^40), applies
-every map to every key at once, and removes duplicates with a lexsort
-and an adjacent-difference mask.  The points and their order are bit
-for bit those of a scalar loop over a set of round() key pairs;
-tests/test_oracle.py holds that loop as the reference.
+flow, and works on those arrays.  A union-of-images sample holds points
+on the 2^-40 grid, and grid_step is the one rule that maps them.  Its
+points and their order are bit for bit those of a scalar loop over a set
+of round() key pairs; tests/test_oracle.py holds that loop as the reference.
 """
 
 from collections.abc import Sequence
@@ -120,8 +118,7 @@ class PointSet:
         """points itself if it is a PointSet, else its Hyperbolic values as one."""
         if isinstance(points, PointSet):
             return points
-        e1, e2 = np.array([(p.e1, p.e2) for p in points], dtype=np.float64).reshape(-1, 2).T
-        return PointSet(e1, e2)
+        return PointSet(*_parts(points))
 
     def __len__(self):
         return len(self.e1)
@@ -133,58 +130,66 @@ class PointSet:
         return map(Hyperbolic, self.e1.tolist(), self.e2.tolist())
 
     def __eq__(self, other):
-        if not isinstance(other, (PointSet, Sequence)):
+        if isinstance(other, PointSet):
+            return np.array_equal(self.e1, other.e1) and np.array_equal(self.e2, other.e2)
+        if not isinstance(other, Sequence):
             return NotImplemented
         return list(self) == list(other)
 
 
+def _parts(values):
+    # The e1 and e2 parts of Hyperbolic values as the two rows of a (2, n) array.
+    return np.array([(v.e1, v.e2) for v in values], dtype=np.float64).reshape(-1, 2).T
+
+
 def coefficients(maps):
     """kappa and beta of every map as two (2, n) float64 arrays, row 0 for e1."""
-    kappa = np.array([(f.kappa.e1, f.kappa.e2) for f in maps], dtype=np.float64).reshape(-1, 2).T
-    beta = np.array([(f.beta.e1, f.beta.e2) for f in maps], dtype=np.float64).reshape(-1, 2).T
-    return kappa, beta
+    return _parts(f.kappa for f in maps), _parts(f.beta for f in maps)
 
 
-def _snap(x):
-    # Integer-valued float64 keys: rint rounds half to even like round(),
-    # and float64 holds every such integer exactly, where int64 would
-    # overflow once |x| >= 2**23.  Adding 0.0 turns rint's -0.0 into 0.0.
-    keys = np.rint(x * SNAP) + 0.0
-    if not np.isfinite(keys).all():
+def grid_step(kappa, x, beta):
+    """kappa * x + beta (multiply, then add, as the scalar c*x + b) snapped to the 2^-40 grid.
+
+    The operands broadcast.  rint rounds ties to even like round(), scaling
+    by the power of two SNAP is exact, and adding 0.0 turns -0.0 into 0.0.
+    Raises ValueError when an image leaves the float range.
+    """
+    # An overflow surfaces as a non-finite coordinate, rejected below.
+    with np.errstate(over="ignore"):
+        x = (np.rint((kappa * x + beta) * SNAP) + 0.0) / SNAP
+    if not np.isfinite(x).all():
         raise ValueError("point set leaves the float range of the snapping grid")
-    return keys
+    return x
 
 
-def _unique_sorted(k1, k2):
-    order = np.lexsort((k2, k1))
-    k1 = k1[order]
-    k2 = k2[order]
-    new = np.ones(len(k1), dtype=bool)
-    new[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-    return k1[new], k2[new]
+def _unique_sorted(x1, x2):
+    order = np.lexsort((x2, x1))
+    x1 = x1[order]
+    x2 = x2[order]
+    new = np.ones(len(x1), dtype=bool)
+    new[1:] = (x1[1:] != x1[:-1]) | (x2[1:] != x2[:-1])
+    return x1[new], x2[new]
 
 
 def iterate_hutchinson(maps, points, depth):
     """Apply the union-of-images step `depth` times; return a PointSet.
 
-    Each step maps every point by every map, snaps the images to the
-    SNAP grid and de-duplicates them.  The result is sorted by (e1, e2),
-    so the operation is deterministic.  Starting from any point, depth
-    iterations land within max_factor**depth * diameter of the
+    Each step maps every point by every map with grid_step and removes
+    duplicates (a lexsort and an adjacent-difference mask), so the result
+    is sorted by (e1, e2) and deterministic.  Starting from any point,
+    depth iterations land within max_factor**depth * diameter of the
     attractor, so deep iterates serve as a reference sample of it.
     """
     points = PointSet.of(points)
     if not len(points):
         raise EmptySet("hutchinson iteration needs a nonempty point set")
-    kappa, beta = coefficients(maps)
-    # An overflow surfaces as a non-finite key, which _snap rejects.
-    with np.errstate(over="ignore"):
-        keys = _unique_sorted(_snap(points.e1), _snap(points.e2))
-        for _ in range(depth):
-            # Every map at once, rounded as the scalar c*x + b: multiply, then add.
-            e1, e2 = (np.multiply.outer(kappa[c], keys[c] / SNAP) + beta[c][:, None] for c in (0, 1))
-            keys = _unique_sorted(_snap(e1.ravel()), _snap(e2.ravel()))
-    return PointSet(keys[0] / SNAP, keys[1] / SNAP)
+    # The maps as a column: each step gives one row of images per map.
+    kappa, beta = (a[:, :, None] for a in coefficients(maps))
+    # The identity step puts the start points on the grid.
+    x = _unique_sorted(grid_step(1.0, points.e1, 0.0), grid_step(1.0, points.e2, 0.0))
+    for _ in range(depth):
+        x = _unique_sorted(*(grid_step(kappa[c], x[c], beta[c]).ravel() for c in (0, 1)))
+    return PointSet(*x)
 
 
 def _directed_1d(u, v_sorted):

@@ -34,10 +34,16 @@ class DensityGrid:
     overflow: int
 
 
-def check_resolution(resolution):
-    """Reject an image side outside [2, MAX_RESOLUTION] with a ValueError."""
+def check_image(resolution, extent):
+    """Widths (e1, e2) of a (lo, hi) extent, or ValueError: the image side must lie in
+    [2, MAX_RESOLUTION] and each width be positive and finite (else DegenerateExtent)."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
+    lo, hi = extent
+    w1, w2 = hi.e1 - lo.e1, hi.e2 - lo.e2
+    if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf):
+        raise DegenerateExtent(f"extent widths must be positive and finite, got ({w1}, {w2})")
+    return w1, w2
 
 
 def rasterize(cloud, resolution, extent):
@@ -46,12 +52,8 @@ def rasterize(cloud, resolution, extent):
     Points on the far edges belong to the last cell (the extent is a
     closed box); points strictly outside are dropped and tallied.
     """
-    check_resolution(resolution)
+    w1, w2 = check_image(resolution, extent)
     lo, hi = extent
-    w1 = hi.e1 - lo.e1
-    w2 = hi.e2 - lo.e2
-    if w1 <= 0.0 or w2 <= 0.0:
-        raise DegenerateExtent(f"extent widths must be positive, got ({w1}, {w2})")
     x1, x2 = cloud.e1, cloud.e2
     inside = (x1 >= lo.e1) & (x1 <= hi.e1) & (x2 >= lo.e2) & (x2 <= hi.e2)
     ix = np.floor((x1[inside] - lo.e1) / w1 * resolution).astype(np.int64)

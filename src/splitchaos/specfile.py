@@ -36,7 +36,7 @@ class ValidationError(ValueError):
 
 def _number(node, path):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ValidationError(f"{path}: expected a number, got {node!r}")
+        raise ValidationError(f"{path}: expected a number, got {type(node).__name__}")
     try:
         return float(node)
     except OverflowError:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from splitchaos.chaos import (
     select_index,
 )
 from splitchaos.checks import nearest_componentwise, replay_component_game
-from splitchaos.ifs import AffineContraction, HyperbolicIFS, iterate_hutchinson
+from splitchaos.ifs import AffineContraction, HyperbolicIFS, PointSet, iterate_hutchinson
 from splitchaos.numbers import ZERO, Hyperbolic, embed
 from splitchaos.probability import (
     HyperbolicDistribution,
@@ -205,6 +206,23 @@ def test_cloud_equality_distinguishes_config(triangle_ifs):
     b = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 501))
     assert a != b
     assert a != "not a cloud"
+
+
+def test_cloud_equals_its_points_as_a_point_set(triangle_ifs):
+    cloud = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 300))
+    points = PointSet(cloud.e1, cloud.e2)
+    assert cloud == list(cloud) and list(cloud) == cloud
+    assert cloud == points and points == cloud
+    assert cloud != list(cloud)[1:]
+    # The same points from another run, or with other tallies, are another cloud.
+    counts = cloud.selection_counts.copy()
+    counts[0] += 1
+    for other in (
+        PointCloud(cloud.e1, cloud.e2, replace(cloud.config, seed=2), cloud.selection_counts),
+        PointCloud(cloud.e1, cloud.e2, cloud.config, counts),
+    ):
+        assert other == points
+        assert cloud != other and other != cloud
 
 
 def test_point_cloud_is_plain_data(triangle_ifs):

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import json
 import math
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitchaos
+import splitchaos.cli
 from splitchaos.chaos import MAX_RECORDED, PointCloud, RunConfig, Variant
 from splitchaos.cli import main
 from splitchaos.ifs import HyperbolicIFS
@@ -189,6 +192,12 @@ def test_parse_rejects_non_numbers():
         parse_spec(json.dumps(_beyond_float_doc()))
     assert "maps[1].beta.e2" in str(exc_info.value)
     assert "0" * 400 not in str(exc_info.value)
+    doc = _spec_doc()
+    doc["maps"][0]["kappa"]["e1"] = [0.5] * 100_000
+    with pytest.raises(ValidationError) as exc_info:
+        parse_spec(json.dumps(doc))
+    assert "maps[0].kappa.e1" in str(exc_info.value)
+    assert len(str(exc_info.value)) < 200
 
 
 def test_spec_integer_beyond_float_exits_one_without_traceback(tmp_path):
@@ -555,6 +564,25 @@ def test_generate_rejects_resolution_above_bound(tmp_path, capsys):
         rasterize(_tiny_cloud([0.0], [0.0]), MAX_RESOLUTION + 1, (ZERO, embed(1.0)))
 
 
+@pytest.mark.parametrize("extent", ["0,0,0,1", "0,1,1,0", "-1e308,0,1e308,1"])
+def test_generate_rejects_degenerate_extent_before_the_game(tmp_path, capsys, monkeypatch, extent):
+    def no_game(*_):
+        raise AssertionError("the game ran")
+
+    monkeypatch.setattr(splitchaos.cli, "run", no_game)
+    csv = tmp_path / "y.csv"
+    argv = _generate_argv(
+        "--iterations", "1000",
+        "--csv", str(csv),
+        "--image", str(tmp_path / "x.ppm"),
+        f"--extent={extent}",
+    )
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: extent widths") and err.count("\n") == 1
+    assert not csv.exists()
+
+
 def test_run_config_bounds_recorded_points():
     # The bound itself is accepted; nothing is allocated by RunConfig.
     RunConfig(Variant.HYPERBOLIC, 1, MAX_RECORDED + 100, burn_in=100)
@@ -682,3 +710,14 @@ def test_every_exported_name_resolves():
     for name in splitchaos.__all__:
         assert hasattr(splitchaos, name), name
     assert len(set(splitchaos.__all__)) == len(splitchaos.__all__)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    package = Path(splitchaos.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("splitchaos")
+            ):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name}:{node.lineno} imports {private}"
