@@ -1,20 +1,12 @@
 """Self-checks for a system: attractor membership, tallies, decoupling.
 
 These back the `verify` command.  Each check compares a seeded game
-against an independent yardstick: a deep union-of-images sample of the
-attractor, binomial bounds on the selection tallies (these two share one
-hyperbolic game), and a replay of the split game's e1 coordinate as a
-plain one-dimensional game.
-
-Membership is settled by addresses first.  A recorded point is the
-image of an earlier one under the game's last ORACLE_DEPTH maps, and
-the same maps applied to 0 by the oracle's step, ifs.grid_step, land on
-a point of the depth-ORACLE_DEPTH sample, so its distance bounds the
-distance to the nearest sample point.  Only the points left open are
-queried against the sample itself, built by iterate_hutchinson (at most
-MAX_ORACLE_POINTS of it) and searched with a cKDTree.  scipy is imported
-inside nearest_componentwise, so it loads only on that fallback and
-never for `generate` or `entropy`.
+against an independent yardstick: the union-of-images sample named by
+the game's own selections (see attractor_membership), binomial bounds on
+the selection tallies (these two share one hyperbolic game), and a
+replay of the split game's e1 coordinate as a plain one-dimensional
+game.  No sample is built: nearest_componentwise, the cKDTree query the
+tests hold the membership certificate to, alone loads scipy.
 """
 
 import math
@@ -30,19 +22,14 @@ from .chaos import (
     run_hyperbolic,
     select_index,
 )
-from .ifs import PointSet, coefficients, grid_step, iterate_hutchinson
-from .numbers import ZERO
+# iterate_hutchinson is not called here; bench/traced.py wraps checks.iterate_hutchinson by name.
+from .ifs import coefficients, grid_step, iterate_hutchinson
 from .probability import Mode, accumulated_distribution, marginals
 from .rng import Xoshiro256PP
 
 ORACLE_DEPTH = 12
 MEMBERSHIP_TOL = 2.0**-10
 MEMBERSHIP_MAX_OUTLIERS = 1e-3
-# Most images the membership fallback may enumerate.  Building the sample
-# peaks at ~62 bytes per image and querying its cKDTree at ~80 (measured
-# with tracemalloc on the bundled 3^12), so 4^12 = 2^24 images, every
-# system of up to four maps, stay near 1.3 GB.
-MAX_ORACLE_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -64,6 +51,23 @@ def nearest_componentwise(cloud, reference):
     return dist
 
 
+def certificate_depth(maps):
+    """Smallest D >= ORACLE_DEPTH with K^D * R <= MEMBERSHIP_TOL / 2.
+
+    K is the largest factor and R = max|beta| / (1 - K) bounds every orbit
+    from 0, so a point of a game from 0 lies within K^D * R of the image of
+    0 under its last D maps; the other half of the tolerance absorbs
+    snapping and rounding.  Raises the grid's ValueError if R * 2^40 is not.
+    """
+    kappa, beta = coefficients(maps)
+    k = float(kappa.max())
+    radius = float(np.abs(beta).max()) / (1.0 - k)
+    grid_step(1.0, radius, 0.0)  # R itself must fit the 2^-40 grid.
+    if k == 0.0 or radius == 0.0:
+        return ORACLE_DEPTH
+    return max(ORACLE_DEPTH, math.ceil(math.log2(radius / (MEMBERSHIP_TOL / 2)) / -math.log2(k)))
+
+
 def address_points(maps, cloud, depth):
     """The sample points named by the game's own selections, one per recorded point.
 
@@ -73,12 +77,14 @@ def address_points(maps, cloud, depth):
     ifs.grid_step, the step iterate_hutchinson takes, gives a member of
     iterate_hutchinson(maps, [ZERO], depth), bit for bit.
     Needs cloud.picks.  Returns the first recorded index with depth
-    selections behind it and the e1/e2 arrays of its point and every
-    later one.
+    selections behind it (len(cloud) if none has) and the e1/e2 arrays
+    of its point and every later one.
     """
     burn_in = cloud.config.burn_in
     first = min(max(depth - 1 - burn_in, 0), len(cloud))
     m = len(cloud) - first
+    if not m:
+        return first, np.zeros(0), np.zeros(0)
     lo = burn_in + first - depth + 1
     kappa, beta = coefficients(maps)
     x = (np.zeros(m), np.zeros(m))
@@ -89,36 +95,28 @@ def address_points(maps, cloud, depth):
 
 
 def attractor_membership(ifs, cloud):
-    """Nearly all recorded points of a game must sit by the deep attractor sample.
+    """Nearly all recorded points of a game must sit by the attractor.
 
-    A point whose address names a sample point within MEMBERSHIP_TOL is
-    inside; the rest (every point when the cloud carries no picks) are
-    measured against the sample, whose n^ORACLE_DEPTH images must not
-    exceed MAX_ORACLE_POINTS.
+    Of the points with D = certificate_depth selections behind them, one is
+    inside when its address point, a member of the depth-D sample, lies
+    within MEMBERSHIP_TOL.  So the fraction equals an exact query against
+    the sample for a game from 0; from a far start, early points beyond the
+    tolerance count as outliers, which makes it an upper bound.  Raises
+    ValueError without picks or without a point with D selections behind it.
     """
-    left_open = np.ones(len(cloud), dtype=bool)
-    if cloud.picks is not None:
-        first, a1, a2 = address_points(ifs.maps, cloud, ORACLE_DEPTH)
-        bound = np.maximum(np.abs(cloud.e1[first:] - a1), np.abs(cloud.e2[first:] - a2))
-        left_open[first:] = ~(bound <= MEMBERSHIP_TOL)
-    rest = PointSet(cloud.e1[left_open], cloud.e2[left_open])
-    outliers = 0
-    if len(rest):
-        images = len(ifs.maps) ** ORACLE_DEPTH
-        if images > MAX_ORACLE_POINTS:
-            raise ValueError(
-                f"{len(rest)} of {len(cloud)} points are not certified by their address,"
-                f" and the depth-{ORACLE_DEPTH} sample of {len(ifs.maps)} maps"
-                f" ({images} images) exceeds the {MAX_ORACLE_POINTS} points it may hold"
-            )
-        oracle = iterate_hutchinson(ifs.maps, [ZERO], ORACLE_DEPTH)
-        outliers = int(np.count_nonzero(nearest_componentwise(rest, oracle) > MEMBERSHIP_TOL))
-    fraction = outliers / len(cloud)
+    if cloud.picks is None:
+        raise ValueError("attractor membership needs the map picked at every iteration")
+    depth = certificate_depth(ifs.maps)
+    first, a1, a2 = address_points(ifs.maps, cloud, depth)
+    if first == len(cloud):
+        raise ValueError(f"no recorded point has the {depth} selections its address needs")
+    bound = np.maximum(np.abs(cloud.e1[first:] - a1), np.abs(cloud.e2[first:] - a2))
+    fraction = np.count_nonzero(~(bound <= MEMBERSHIP_TOL)) / len(bound)
     passed = fraction < MEMBERSHIP_MAX_OUTLIERS
     return CheckResult(
         "attractor-membership",
         passed,
-        f"{fraction:.2e} of points beyond 2^-10 of the depth-{ORACLE_DEPTH} sample"
+        f"{fraction:.2e} of points beyond 2^-10 of the depth-{depth} sample"
         f" (limit {MEMBERSHIP_MAX_OUTLIERS:.0e})",
     )
 

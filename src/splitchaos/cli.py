@@ -78,15 +78,11 @@ def build_parser():
 
 def _cmd_generate(args):
     ifs = load_spec(args.spec)
-    cfg = RunConfig(
-        Variant(args.variant),
-        args.seed,
-        args.iterations,
-        burn_in=args.burn_in,
-    )
-    if args.image:
-        extent = _parse_extent(args.extent)
-        check_image(args.resolution, extent)
+    cfg = RunConfig(Variant(args.variant), args.seed, args.iterations, burn_in=args.burn_in)
+    if not (args.csv or args.image):
+        raise ValueError("nothing to write: give --csv, --image or both")
+    extent = _parse_extent(args.extent)
+    check_image(args.resolution, extent)
     cloud = run(ifs, cfg)
     if args.csv:
         with open(args.csv, "wb") as f:

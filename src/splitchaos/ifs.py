@@ -31,7 +31,7 @@ SNAP = float(2**40)
 
 
 class InvalidContraction(ValueError):
-    """Contraction factor outside [0, 1) in some component."""
+    """Contraction factor outside [0, 1), or an unbounded attractor, in some component."""
 
 
 class EmptySet(ValueError):
@@ -51,6 +51,9 @@ class AffineContraction:
             raise InvalidContraction(
                 f"contraction factor must lie in [0, 1) per component, got {k}"
             )
+        bound = [abs(self.beta.e1) / (1.0 - k.e1), abs(self.beta.e2) / (1.0 - k.e2)]
+        if not np.isfinite(bound).all():
+            raise InvalidContraction("attractor bound |beta|/(1-kappa) is not finite")
 
     def __call__(self, x):
         return Hyperbolic(

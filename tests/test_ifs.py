@@ -50,6 +50,15 @@ def test_contraction_factor_bounds_are_enforced():
     AffineContraction(ZERO, ONE)  # kappa may be zero
 
 
+def test_contraction_attractor_bound_is_enforced():
+    # Each part is finite, but the e1 bound 1e308/(1-0.9) is not.
+    with pytest.raises(InvalidContraction, match="attractor bound"):
+        AffineContraction(Hyperbolic(0.9, 0.5), Hyperbolic(1e308, 0.0))
+    with pytest.raises(InvalidContraction, match="attractor bound"):
+        AffineContraction(Hyperbolic(0.5, 0.9), Hyperbolic(0.0, -1e308))
+    AffineContraction(embed(0.5), embed(1e307))
+
+
 def test_splice_examples():
     g = splice(F2, F3)
     assert g.kappa == embed(0.5)

@@ -9,11 +9,13 @@ points.
 
 The address certificate of the membership check is held to the same
 reference: every point it names must be a member of the oracle, bit for
-bit, and attractor_membership must give the CheckResult of the plain
-query of every point against the whole oracle.
+bit.  attractor_membership must never report fewer outliers than the
+plain query of every counted point against the whole depth-D oracle, and
+must report none for a correct game from 0.
 """
 
 import dataclasses
+import time
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,7 @@ from splitchaos.checks import (
     CheckResult,
     address_points,
     attractor_membership,
+    certificate_depth,
     nearest_componentwise,
 )
 from splitchaos.ifs import SNAP, AffineContraction, HyperbolicIFS, PointSet, iterate_hutchinson
@@ -163,17 +166,25 @@ def test_oracle_rejects_keys_beyond_float_range():
 
 
 def reference_membership(ifs, cloud):
-    """attractor_membership as a plain query of every point against the whole oracle."""
-    oracle = iterate_hutchinson(ifs.maps, [ZERO], checks.ORACLE_DEPTH)
-    dist = nearest_componentwise(cloud, oracle)
-    fraction = float(np.mean(dist > MEMBERSHIP_TOL))
-    passed = fraction < MEMBERSHIP_MAX_OUTLIERS
+    """attractor_membership as a plain query of every counted point against the depth-D oracle."""
+    depth = certificate_depth(ifs.maps)
+    first = max(depth - 1 - cloud.config.burn_in, 0)
+    oracle = iterate_hutchinson(ifs.maps, [ZERO], depth)
+    dist = nearest_componentwise(PointSet(cloud.e1[first:], cloud.e2[first:]), oracle)
+    return _result(float(np.mean(dist > MEMBERSHIP_TOL)), depth)
+
+
+def _result(fraction, depth):
     return CheckResult(
         "attractor-membership",
-        passed,
-        f"{fraction:.2e} of points beyond 2^-10 of the depth-{checks.ORACLE_DEPTH} sample"
+        fraction < MEMBERSHIP_MAX_OUTLIERS,
+        f"{fraction:.2e} of points beyond 2^-10 of the depth-{depth} sample"
         f" (limit {MEMBERSHIP_MAX_OUTLIERS:.0e})",
     )
+
+
+def _fraction(result):
+    return float(result.detail.split()[0])
 
 
 def reference_address(maps, window):
@@ -286,17 +297,93 @@ def test_address_points_are_sample_members(case):
     assert _bit_pairs(e1, e2) <= _bit_pairs(oracle.e1, oracle.e2)
 
 
-@_membership_examples
+def _sound_examples(test):
+    cases = [
+        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000)),
+        (LOPSIDED, RunConfig(Variant.HYPERBOLIC, 7, 400, burn_in=3)),
+        # Early points still far from the attractor: more outliers than the exact query.
+        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 3, 400, burn_in=0, start=FAR_START)),
+        (POWERS_OF_TWO, RunConfig(Variant.HYPERBOLIC, 5, 300, burn_in=0, start=ONE)),
+        (NEGATIVE, RunConfig(Variant.HYPERBOLIC, 6, 300, burn_in=20)),
+    ]
+    for ifs, cfg in cases:
+        test = example(game=(ifs, cfg))(test)
+    return test
+
+
+# Factors up to 0.5 and translations up to 2 keep D at 12 or 13, so the
+# oracle of up to two maps holds at most 2^13 points.
+small_factor = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.floats(0.0, 0.5))
+small_map = st.builds(
+    AffineContraction,
+    st.builds(Hyperbolic, small_factor, small_factor),
+    st.builds(Hyperbolic, game_translation, game_translation),
+)
+
+
+@st.composite
+def small_games(draw):
+    """Games of up to two small maps, from any start, burn-ins on either side of D."""
+    ifs = _uniform(draw(st.lists(small_map, min_size=1, max_size=2)))
+    depth = certificate_depth(ifs.maps)
+    burn_in = draw(st.integers(0, depth + 3))
+    iterations = draw(st.integers(max(depth, burn_in + 1), depth + 300))
+    start = Hyperbolic(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    cfg = RunConfig(Variant.HYPERBOLIC, draw(st.integers(0, 2**64 - 1)), iterations, burn_in, start)
+    return ifs, cfg
+
+
+@_sound_examples
 @settings(max_examples=100, deadline=None)
-@given(case=membership_cases())
-def test_membership_matches_full_query(case):
-    ifs, cloud, depth = _play(case)
-    with mock.patch.object(checks, "ORACLE_DEPTH", depth):
-        assert attractor_membership(ifs, cloud) == reference_membership(ifs, cloud)
+@given(game=small_games())
+def test_membership_is_never_below_full_query(game):
+    ifs, cfg = game
+    cloud = run_hyperbolic(ifs, cfg, keep_picks=True)
+    got = attractor_membership(ifs, cloud)
+    want = reference_membership(ifs, cloud)
+    assert _fraction(got) >= _fraction(want)
+    if _fraction(got) == 0.0:
+        assert got == want
+
+
+@st.composite
+def games_from_zero(draw):
+    """Games from 0 whose burn-in leaves D selections behind every recorded point."""
+    factor = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.95]), st.floats(0.0, 0.95))
+    translation = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    part = st.builds(Hyperbolic, factor, factor), st.builds(Hyperbolic, translation, translation)
+    ifs = _uniform(draw(st.lists(st.builds(AffineContraction, *part), min_size=1, max_size=4)))
+    depth = certificate_depth(ifs.maps)
+    burn_in = depth - 1 + draw(st.integers(0, 20))
+    iterations = burn_in + draw(st.integers(1, 300))
+    return ifs, RunConfig(Variant.HYPERBOLIC, draw(st.integers(0, 2**64 - 1)), iterations, burn_in)
+
+
+STEEP = _uniform(
+    [
+        AffineContraction(embed(0.95), Hyperbolic(2.0, -2.0)),
+        AffineContraction(Hyperbolic(0.5, 0.25), ZERO),
+        AffineContraction(ZERO, Hyperbolic(-2.0, 0.0)),
+    ]
+)
+
+
+@example(game=(POWERS_OF_TWO, RunConfig(Variant.HYPERBOLIC, 5, 300, burn_in=11)))
+@example(game=(STEEP, RunConfig(Variant.HYPERBOLIC, 1, 3000, burn_in=certificate_depth(STEEP.maps) - 1)))
+@settings(max_examples=100, deadline=None)
+@given(game=games_from_zero())
+def test_membership_certifies_every_game_from_zero(game):
+    ifs, cfg = game
+    cloud = run_hyperbolic(ifs, cfg, keep_picks=True)
+    assert attractor_membership(ifs, cloud) == _result(0.0, certificate_depth(ifs.maps))
 
 
 def _refuse(*args):
     raise AssertionError("the sample was built or queried")
+
+
+def _no_sample():
+    return mock.patch.multiple(checks, iterate_hutchinson=_refuse, nearest_componentwise=_refuse)
 
 
 def test_certified_cloud_builds_no_sample():
@@ -307,29 +394,32 @@ def test_certified_cloud_builds_no_sample():
         assert attractor_membership(SIERPINSKI, cloud).passed
 
 
-def test_fallback_queries_only_open_points():
+def test_far_start_counts_uncertified_points():
     cfg = RunConfig(Variant.HYPERBOLIC, 3, 400, burn_in=0, start=FAR_START)
     cloud = run_hyperbolic(SIERPINSKI, cfg, keep_picks=True)
-    queried = []
-
-    def spy(points, reference):
-        queried.append(len(points.e1))
-        return nearest_componentwise(points, reference)
-
-    with mock.patch.object(checks, "nearest_componentwise", spy):
-        result = attractor_membership(SIERPINSKI, cloud)
-    # The eleven points with too few selections, and a few more far from the attractor.
-    assert 11 <= queried[0] < 40
-    assert result == reference_membership(SIERPINSKI, cloud)
+    picks = cloud.picks.tolist()
+    # From iteration 11 on, 12 selections stand behind each point.
+    outliers = 0
+    for n in range(11, 400):
+        a1, a2 = reference_address(SIERPINSKI.maps, picks[n - 11 : n + 1])
+        outliers += max(abs(cloud.e1[n] - a1), abs(cloud.e2[n] - a2)) > MEMBERSHIP_TOL
+    assert outliers > 0
+    with _no_sample():
+        assert attractor_membership(SIERPINSKI, cloud) == _result(outliers / 389, 12)
 
 
-def test_fallback_sample_is_bounded_before_it_is_built():
-    cfg = RunConfig(Variant.HYPERBOLIC, 1, 400)
-    cloud = run_hyperbolic(SIERPINSKI, cfg, keep_picks=True)
-    bare = dataclasses.replace(cloud, picks=None)
-    with mock.patch.object(checks, "MAX_ORACLE_POINTS", 3**12 - 1):
-        # Every point certified: the bound is never consulted.
-        assert attractor_membership(SIERPINSKI, cloud).passed
-        with mock.patch.object(checks, "iterate_hutchinson", _refuse):
-            with pytest.raises(ValueError, match="not certified"):
-                attractor_membership(SIERPINSKI, bare)
+def test_membership_refusals_build_nothing():
+    cloud = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 400), keep_picks=True)
+    short = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 11, burn_in=0), keep_picks=True)
+    # D is in the tens of millions for factors this close to 1.
+    slow = run_hyperbolic(SLOW, RunConfig(Variant.HYPERBOLIC, 1, 300, burn_in=0), keep_picks=True)
+    assert certificate_depth(SLOW.maps) > 10**7
+    with _no_sample():
+        with pytest.raises(ValueError, match="picked at every iteration"):
+            attractor_membership(SIERPINSKI, dataclasses.replace(cloud, picks=None))
+        with pytest.raises(ValueError, match="the 12 selections"):
+            attractor_membership(SIERPINSKI, short)
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="no recorded point"):
+            attractor_membership(SLOW, slow)
+        assert time.perf_counter() - began < 1.0

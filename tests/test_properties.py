@@ -1,5 +1,6 @@
 """Property tests: the ring laws that hold exactly in IEEE arithmetic, and
-the tolerance edges of HyperbolicDistribution.validate."""
+the tolerance edges of HyperbolicDistribution.validate and of the
+distributions derived from a validated one."""
 
 import math
 import struct
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from splitchaos.entropy import verify_inequalities
 from splitchaos.numbers import E1, E2, ONE, ZERO, Hyperbolic, embed
 from splitchaos.probability import (
     SUM_TOL,
@@ -15,6 +17,9 @@ from splitchaos.probability import (
     HyperbolicDistribution,
     MixedMode,
     Mode,
+    accumulated_distribution,
+    marginals,
+    pair_distribution,
 )
 
 # Parts small enough that no product or sum of two overflows.
@@ -99,6 +104,19 @@ def test_sum_tolerance_edges(direction, mode):
     beyond = math.nextafter(edge, direction * math.inf)
     with pytest.raises(BadSum):
         HyperbolicDistribution.validate(_summing_to(beyond, mode))
+
+
+@pytest.mark.parametrize("direction", [-1.0, 1.0])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_derived_distributions_of_edge_sums_are_built(direction, mode):
+    edge = _last_accepted(direction)
+    d = HyperbolicDistribution.validate(_summing_to(edge, mode))
+    assert len(accumulated_distribution(d)) == 2
+    if mode is Mode.FULL:
+        assert [sum(m.probs) for m in marginals(d)] == [edge, edge]
+        # The pair weights sum to edge^2, about 2*SUM_TOL from 1.
+        assert abs(sum(pair_distribution(d).probs) - 1.0) > SUM_TOL
+        assert verify_inequalities(d).ineq_q
 
 
 zero_divisor_modes = st.sampled_from([Mode.E1_ONLY, Mode.E2_ONLY])
