@@ -22,9 +22,8 @@ floats, so every point rounds exactly as in a scalar loop.  The scalar
 reference is checks.replay_component_game, built on select_index.
 
 A run returns a PointCloud: the ifs.PointSet of its recorded points,
-with its config, its selection tallies and, on request, its picks.
-Tallies count from the first iteration on, burn-in included, while
-recorded points start after it.
+with its config and its selection tallies.  Tallies count from the first
+iteration on, burn-in included, while recorded points start after it.
 """
 
 from dataclasses import dataclass, field
@@ -83,14 +82,12 @@ class PointCloud(PointSet):
     e1/e2 hold the idempotent coordinates of the points recorded after
     burn-in, in order.  selection_counts has one tally per map, or one
     per (s, t) pair in row-major order for the split variant, summing to
-    the total iteration count.  picks, kept only when the game is asked
-    for them, holds the first selection of every iteration, burn-in
-    included: the whole map of a classical or hyperbolic game.
+    the total iteration count.  Which map made each step is not kept:
+    the orbit itself shows that some map did.
     """
 
     config: RunConfig
     selection_counts: np.ndarray = field(repr=False)
-    picks: np.ndarray | None = field(default=None, repr=False)
 
     def __eq__(self, other):
         """Point for point as a PointSet; against another cloud, the run too."""
@@ -138,13 +135,12 @@ def _require_variant(cfg, variant):
         raise ValueError(f"config variant is {cfg.variant.value}, expected {variant.value}")
 
 
-def _play(ifs, cfg, cums, keep_picks):
+def _play(ifs, cfg, cums):
     """The one chaos-game engine: one draw and one selection per entry of cums.
 
     e1 follows the first selection and e2 the last, so one cumulative
     list plays a whole-map game and two play the split game.  Tallies
     count the selections read as base-n digits, first selection first.
-    With keep_picks the first selection of every step is kept as well.
     """
     n = len(ifs.maps)
     per_step = len(cums)
@@ -152,15 +148,12 @@ def _play(ifs, cfg, cums, keep_picks):
     counts = np.zeros(n**per_step, dtype=np.int64)
     recorded = cfg.iterations - cfg.burn_in
     out = (np.empty(recorded), np.empty(recorded))
-    kept = np.empty(cfg.iterations, dtype=np.min_scalar_type(n - 1)) if keep_picks else None
     x = [cfg.start.e1, cfg.start.e2]
     next_float = Xoshiro256PP(cfg.seed).next_float
     for lo in range(0, cfg.iterations, BLOCK):
         m = min(BLOCK, cfg.iterations - lo)
         u = np.array([next_float() for _ in range(per_step * m)])
         picks = [select_indices(cum, u[d::per_step]) for d, cum in enumerate(cums)]
-        if keep_picks:
-            kept[lo : lo + m] = picks[0]
         key = picks[0]
         for p in picks[1:]:
             key = key * n + p
@@ -175,32 +168,22 @@ def _play(ifs, cfg, cums, keep_picks):
             x[c] = xc
             if skip < m:
                 out[c][lo + skip - cfg.burn_in : lo + m - cfg.burn_in] = orbit[skip:]
-    return PointCloud(out[0], out[1], cfg, counts, kept)
+    return PointCloud(out[0], out[1], cfg, counts)
 
 
-def run(ifs, cfg, keep_picks=False):
-    """Play the chaos game named by cfg.variant.
-
-    keep_picks also hands back the selection of every iteration as
-    cloud.picks, for checks that name points by their addresses.
-    """
+def run(ifs, cfg):
+    """Play the chaos game named by cfg.variant."""
     if cfg.variant is Variant.D_CHAOS:
         dists = marginals(ifs.dist)
     else:
         dists = [accumulated_distribution(ifs.dist)]
-    return _play(ifs, cfg, [cumulative(d.probs) for d in dists], keep_picks)
+    return _play(ifs, cfg, [cumulative(d.probs) for d in dists])
 
 
-def run_classical(ifs, cfg):
-    """Whole-map chaos game; selection via the real selection probabilities."""
-    _require_variant(cfg, Variant.CLASSICAL)
-    return run(ifs, cfg)
-
-
-def run_hyperbolic(ifs, cfg, keep_picks=False):
+def run_hyperbolic(ifs, cfg):
     """Chaos game on the hyperbolic plane; same control flow, hyperbolic weights."""
     _require_variant(cfg, Variant.HYPERBOLIC)
-    return run(ifs, cfg, keep_picks)
+    return run(ifs, cfg)
 
 
 def run_d_chaos(ifs, cfg):

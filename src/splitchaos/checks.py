@@ -1,12 +1,13 @@
 """Self-checks for a system: attractor membership, tallies, decoupling.
 
 These back the `verify` command.  Each check compares a seeded game
-against an independent yardstick: the union-of-images sample named by
-the game's own selections (see attractor_membership), binomial bounds on
-the selection tallies (these two share one hyperbolic game), and a
-replay of the split game's e1 coordinate as a plain one-dimensional
-game.  No sample is built: nearest_componentwise, the cKDTree query the
-tests hold the membership certificate to, alone loads scipy.
+against an independent yardstick: the union-of-images sample, which the
+orbit's own steps show each point to be near (see attractor_membership),
+binomial bounds on the selection tallies (these two share one hyperbolic
+game), and a replay of the split game's e1 coordinate as a plain
+one-dimensional game.  No sample is built: nearest_componentwise, the
+cKDTree query the tests hold the membership certificate to, alone loads
+scipy.
 """
 
 import math
@@ -51,67 +52,77 @@ def nearest_componentwise(cloud, reference):
     return dist
 
 
+def _reach(kappa, beta):
+    """K, the largest factor, and R = max|beta| / (1 - K), which bounds every orbit from 0."""
+    k = float(kappa.max())
+    return k, float(np.abs(beta).max()) / (1.0 - k)
+
+
 def certificate_depth(maps):
     """Smallest D >= ORACLE_DEPTH with K^D * R <= MEMBERSHIP_TOL / 2.
 
-    K is the largest factor and R = max|beta| / (1 - K) bounds every orbit
-    from 0, so a point of a game from 0 lies within K^D * R of the image of
-    0 under its last D maps; the other half of the tolerance absorbs
-    snapping and rounding.  Raises the grid's ValueError if R * 2^40 is not.
+    A point of a game from 0 lies within K^D * R of the image of 0 under
+    its last D maps; the other half of the tolerance absorbs snapping and
+    rounding.  Raises the grid's ValueError if R * 2^40 is not finite.
     """
-    kappa, beta = coefficients(maps)
-    k = float(kappa.max())
-    radius = float(np.abs(beta).max()) / (1.0 - k)
+    k, radius = _reach(*coefficients(maps))
     grid_step(1.0, radius, 0.0)  # R itself must fit the 2^-40 grid.
     if k == 0.0 or radius == 0.0:
         return ORACLE_DEPTH
     return max(ORACLE_DEPTH, math.ceil(math.log2(radius / (MEMBERSHIP_TOL / 2)) / -math.log2(k)))
 
 
-def address_points(maps, cloud, depth):
-    """The sample points named by the game's own selections, one per recorded point.
-
-    Recorded point r comes from iteration n = burn_in + r, so it is the
-    image of an earlier point under the maps picked at iterations
-    n - depth + 1, ..., n.  Applying them in that order to 0 with
-    ifs.grid_step, the step iterate_hutchinson takes, gives a member of
-    iterate_hutchinson(maps, [ZERO], depth), bit for bit.
-    Needs cloud.picks.  Returns the first recorded index with depth
-    selections behind it (len(cloud) if none has) and the e1/e2 arrays
-    of its point and every later one.
-    """
-    burn_in = cloud.config.burn_in
-    first = min(max(depth - 1 - burn_in, 0), len(cloud))
-    m = len(cloud) - first
-    if not m:
-        return first, np.zeros(0), np.zeros(0)
-    lo = burn_in + first - depth + 1
-    kappa, beta = coefficients(maps)
-    x = (np.zeros(m), np.zeros(m))
-    for j in range(lo, lo + depth):
-        pick = cloud.picks[j : j + m]
-        x = tuple(grid_step(kappa[c][pick], x[c], beta[c][pick]) for c in (0, 1))
-    return first, x[0], x[1]
-
-
 def attractor_membership(ifs, cloud):
-    """Nearly all recorded points of a game must sit by the attractor.
+    """Nearly all recorded points of a whole-map game must sit by the attractor.
 
     Of the points with D = certificate_depth selections behind them, one is
-    inside when its address point, a member of the depth-D sample, lies
-    within MEMBERSHIP_TOL.  So the fraction equals an exact query against
-    the sample for a game from 0; from a far start, early points beyond the
-    tolerance count as outliers, which makes it an upper bound.  Raises
-    ValueError without picks or without a point with D selections behind it.
+    inside when each of its last D steps applies some map, bit for bit, and
+    K^D * |y| plus rounding drift is within MEMBERSHIP_TOL, y being the point
+    those steps started from: the same maps take 0 to a point of the depth-D
+    sample within that distance.  The burn-in and the step into the first
+    recorded point are not recorded, so they are taken as played; a
+    burn-in point j steps from the start lies within K^j * |start| + R.  So
+    the fraction is never below an exact query against the sample, equals it
+    for a correct game from 0, and is an upper bound from a far start.
+    Raises ValueError when no point has D selections behind it.
     """
-    if cloud.picks is None:
-        raise ValueError("attractor membership needs the map picked at every iteration")
     depth = certificate_depth(ifs.maps)
-    first, a1, a2 = address_points(ifs.maps, cloud, depth)
-    if first == len(cloud):
-        raise ValueError(f"no recorded point has the {depth} selections its address needs")
-    bound = np.maximum(np.abs(cloud.e1[first:] - a1), np.abs(cloud.e2[first:] - a2))
-    fraction = np.count_nonzero(~(bound <= MEMBERSHIP_TOL)) / len(bound)
+    cfg = cloud.config
+    n = len(cloud)
+    first = max(depth - 1 - cfg.burn_in, 0)
+    if first >= n:
+        raise ValueError(f"no recorded point has the {depth} selections its certificate needs")
+    kappa, beta = coefficients(ifs.maps)
+    k, radius = _reach(kappa, beta)
+    start = max(abs(cfg.start.e1), abs(cfg.start.e2))
+    x1, x2 = cloud.e1, cloud.e2
+
+    # Step r leads into point r; step 0 is taken as played.  numpy's separate
+    # multiply and add round as the engine's scalar k*x + b does.
+    holds = np.zeros(n, dtype=bool)
+    holds[0] = True
+    for i in range(len(ifs.maps)):
+        step = x1[1:] == kappa[0, i] * x1[:-1] + beta[0, i]
+        step &= x2[1:] == kappa[1, i] * x2[:-1] + beta[1, i]
+        holds[1:] |= step
+    # The broken steps in the window of point r, steps r - D + 1 .. r.
+    window = np.cumsum(~holds)
+    window[depth:] -= window[:-depth].copy()
+
+    # y is point r - D; before point D it is the burn-in point
+    # j = burn_in + r + 1 - D steps from the start.
+    late = max(n - depth, 0)
+    j = np.arange(first, n - late) + (cfg.burn_in + 1 - depth)
+    y = np.concatenate((k**j * start + radius, np.maximum(np.abs(x1[:late]), np.abs(x2[:late]))))
+    # Drift: per map, the game and the sample each round k*x + b twice, by
+    # at most 2^-53 * M with M the largest |x|, and the sample snaps to the
+    # 2^-40 grid, by at most 2^-41; the gap then contracts by K.  2^-50, not
+    # 2^-51, leaves room for the rounding of the bounds themselves.
+    largest = max(float(np.abs(x1).max()), float(np.abs(x2).max()), start + radius)
+    drift = (2.0**-41 + 2.0**-50 * largest) / (1.0 - k)
+    inside = k**depth * y + drift <= MEMBERSHIP_TOL
+    inside &= window[first:] == 0
+    fraction = np.count_nonzero(~inside) / len(inside)
     passed = fraction < MEMBERSHIP_MAX_OUTLIERS
     return CheckResult(
         "attractor-membership",
@@ -185,7 +196,7 @@ def decoupling(ifs, iterations, seed):
 
 def run_all(ifs, iterations, seed):
     """Every check; membership and tallies share one hyperbolic game."""
-    cloud = run_hyperbolic(ifs, RunConfig(Variant.HYPERBOLIC, seed, iterations), keep_picks=True)
+    cloud = run_hyperbolic(ifs, RunConfig(Variant.HYPERBOLIC, seed, iterations))
     return [
         attractor_membership(ifs, cloud),
         tally_convergence(ifs, cloud),

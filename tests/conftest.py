@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from splitchaos.chaos import cumulative, select_index
 from splitchaos.ifs import AffineContraction, HyperbolicIFS
 from splitchaos.numbers import Hyperbolic, embed
-from splitchaos.probability import HyperbolicDistribution
+from splitchaos.probability import HyperbolicDistribution, accumulated_distribution
+from splitchaos.rng import Xoshiro256PP
 
 # Three-map system: half-scale contractions with translations
 # (0,0), (1/4,1/2), (1/2,0) in (e1,e2) coordinates.
@@ -51,3 +53,10 @@ def random_full(rnd: random.Random, n: int) -> HyperbolicDistribution:
     s2 = sum(raw2)
     probs = [Hyperbolic(a / s1, b / s2) for a, b in zip(raw1, raw2)]
     return HyperbolicDistribution.validate(probs)
+
+
+def reference_picks(ifs, cfg):
+    """The whole map the scalar game selects at every iteration, burn-in included."""
+    cum = cumulative(accumulated_distribution(ifs.dist).probs)
+    rng = Xoshiro256PP(cfg.seed)
+    return [select_index(cum, rng.next_float()) for _ in range(cfg.iterations)]

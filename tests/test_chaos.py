@@ -10,7 +10,6 @@ from splitchaos.chaos import (
     Variant,
     cumulative,
     run,
-    run_classical,
     run_d_chaos,
     run_hyperbolic,
     select_index,
@@ -82,13 +81,13 @@ def test_single_recorded_point(triangle_ifs):
 
 def test_burn_in_zero_records_everything(triangle_ifs):
     cfg = RunConfig(Variant.CLASSICAL, 5, 500, burn_in=0)
-    cloud = run_classical(triangle_ifs, cfg)
+    cloud = run(triangle_ifs, cfg)
     assert len(cloud) == 500
 
 
 def test_same_seed_same_cloud(triangle_ifs):
     for variant, runner in (
-        (Variant.CLASSICAL, run_classical),
+        (Variant.CLASSICAL, run),
         (Variant.HYPERBOLIC, run_hyperbolic),
         (Variant.D_CHAOS, run_d_chaos),
     ):
@@ -123,7 +122,7 @@ def test_points_stay_in_unit_box(triangle_ifs):
 
 
 def test_classical_cloud_approaches_attractor(triangle_ifs):
-    cloud = run_classical(triangle_ifs, RunConfig(Variant.CLASSICAL, 3, 20_000))
+    cloud = run(triangle_ifs, RunConfig(Variant.CLASSICAL, 3, 20_000))
     oracle = iterate_hutchinson(TRIANGLE_MAPS, [ZERO], 10)
     assert nearest_componentwise(cloud, oracle).max() <= 2.0**-8
 

@@ -182,27 +182,6 @@ def test_engine_matches_reference_d_chaos(game):
     _check(reference_d_chaos, game)
 
 
-def reference_picks(ifs, cfg):
-    """The whole map the scalar game selects at every iteration, burn-in included."""
-    cum = cumulative(accumulated_distribution(ifs.dist).probs)
-    rng = Xoshiro256PP(cfg.seed)
-    return [select_index(cum, rng.next_float()) for _ in range(cfg.iterations)]
-
-
-@at_real_block(Variant.HYPERBOLIC, TENTHS)
-@settings(max_examples=60, deadline=None)
-@given(game=games(Variant.HYPERBOLIC))
-def test_engine_keeps_the_picks_it_played(game):
-    ifs, cfg, block = game
-    with mock.patch.object(chaos, "BLOCK", block):
-        plain = chaos.run(ifs, cfg)
-        kept = chaos.run(ifs, cfg, keep_picks=True)
-    assert plain.picks is None
-    assert kept == plain
-    assert kept.picks.dtype == np.uint8
-    assert kept.picks.tolist() == reference_picks(ifs, cfg)
-
-
 # The largest draw next_float can return.
 LAST_DRAW = 1.0 - 2.0**-53
 

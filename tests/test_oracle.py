@@ -7,11 +7,10 @@ for negative translations, keys far beyond the int64 range, maps that
 collide on the snapping grid, and coordinates half-way between grid
 points.
 
-The address certificate of the membership check is held to the same
-reference: every point it names must be a member of the oracle, bit for
-bit.  attractor_membership must never report fewer outliers than the
-plain query of every counted point against the whole depth-D oracle, and
-must report none for a correct game from 0.
+The membership certificate is held to the same oracle:
+attractor_membership must never report fewer outliers than the plain
+query of every counted point against the whole depth-D oracle, must
+report none for a correct game from 0, and must count a moved point.
 """
 
 import dataclasses
@@ -29,7 +28,6 @@ from splitchaos.checks import (
     MEMBERSHIP_MAX_OUTLIERS,
     MEMBERSHIP_TOL,
     CheckResult,
-    address_points,
     attractor_membership,
     certificate_depth,
     nearest_componentwise,
@@ -38,6 +36,7 @@ from splitchaos.ifs import SNAP, AffineContraction, HyperbolicIFS, PointSet, ite
 from splitchaos.numbers import E1, ONE, ZERO, Hyperbolic, embed
 from splitchaos.probability import HyperbolicDistribution
 from splitchaos.specfile import BUNDLED, bundled_spec
+from conftest import reference_picks
 
 
 def _snap_key(x1, x2):
@@ -162,7 +161,7 @@ def test_oracle_rejects_keys_beyond_float_range():
         iterate_hutchinson([far], [ZERO], 1)
 
 
-# -- membership by address certificate ----------------------------------------
+# -- membership certificate ---------------------------------------------------
 
 
 def reference_membership(ifs, cloud):
@@ -203,36 +202,9 @@ def _uniform(maps):
     return HyperbolicIFS(maps, HyperbolicDistribution.validate([embed(1.0 / len(maps))] * len(maps)))
 
 
-def _bit_pairs(e1, e2):
-    return set(zip(np.asarray(e1).view(np.uint64).tolist(), np.asarray(e2).view(np.uint64).tolist()))
-
-
+# A factor so close to 1 that D runs into the tens of millions.
 NEAR_ONE = 1.0 - 2.0**-20
-game_factor = st.one_of(
-    # Zero, powers of two (exact products) and a factor so close to 1 that
-    # no address certifies its points.
-    st.sampled_from([0.0, 0.125, 0.25, 0.5, NEAR_ONE]),
-    st.floats(0.0, 1.0, exclude_max=True),
-)
 game_translation = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
-game_map = st.builds(
-    AffineContraction,
-    st.builds(Hyperbolic, game_factor, game_factor),
-    st.builds(Hyperbolic, game_translation, game_translation),
-)
-
-
-@st.composite
-def membership_cases(draw):
-    """(ifs, cfg, depth, keep_picks): short games, burn-ins on either side of the depth."""
-    ifs = _uniform(draw(st.lists(game_map, min_size=1, max_size=3)))
-    depth = draw(st.integers(0, 6))
-    iterations = draw(st.integers(1, 300))
-    burn_in = draw(st.integers(0, min(iterations - 1, 15)))
-    start = Hyperbolic(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
-    seed = draw(st.integers(0, 2**64 - 1))
-    cfg = RunConfig(Variant.HYPERBOLIC, seed, iterations, burn_in=burn_in, start=start)
-    return ifs, cfg, depth, draw(st.booleans())
 
 
 SIERPINSKI = bundled_spec("sierpinski")
@@ -246,55 +218,6 @@ NEGATIVE = _uniform(
 )
 SLOW = _uniform([AffineContraction(embed(NEAR_ONE), ZERO), AffineContraction(embed(NEAR_ONE), ONE)])
 FAR_START = Hyperbolic(5.0, -5.0)
-
-
-def _membership_examples(test):
-    cases = [
-        # The bundled systems at the real depth: every point certified.
-        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000), 12, True),
-        (LOPSIDED, RunConfig(Variant.HYPERBOLIC, 7, 3000), 12, True),
-        # Burn-in shorter than the depth: the first points have too few selections.
-        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 2, 400, burn_in=3), 12, True),
-        # A far start: the early bounds are too large and those points are outliers.
-        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 3, 400, burn_in=0, start=FAR_START), 12, True),
-        # No selections to name addresses by: the whole cloud is queried.
-        (SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 4, 400), 12, False),
-        (POWERS_OF_TWO, RunConfig(Variant.HYPERBOLIC, 5, 300, burn_in=0, start=ONE), 6, True),
-        (NEGATIVE, RunConfig(Variant.HYPERBOLIC, 6, 300, burn_in=20), 6, True),
-        (SLOW, RunConfig(Variant.HYPERBOLIC, 8, 300, burn_in=0), 6, True),
-        (_uniform([AffineContraction(ZERO, Hyperbolic(-0.5, 0.5))]), RunConfig(Variant.HYPERBOLIC, 9, 50, burn_in=0), 0, True),
-    ]
-    for case in cases:
-        test = example(case=case)(test)
-    return test
-
-
-def _play(case):
-    ifs, cfg, depth, keep = case
-    cloud = run_hyperbolic(ifs, cfg, keep_picks=True)
-    return ifs, cloud if keep else dataclasses.replace(cloud, picks=None), depth
-
-
-@_membership_examples
-@settings(max_examples=100, deadline=None)
-@given(case=membership_cases())
-def test_address_points_are_sample_members(case):
-    ifs, cloud, depth = _play(case)
-    if cloud.picks is None:
-        return
-    cfg = cloud.config
-    first, e1, e2 = address_points(ifs.maps, cloud, depth)
-    assert first == min(max(depth - 1 - cfg.burn_in, 0), len(cloud))
-    assert len(e1) == len(e2) == len(cloud) - first
-    picks = cloud.picks.tolist()
-    want = [
-        reference_address(ifs.maps, picks[n - depth + 1 : n + 1])
-        for n in range(cfg.burn_in + first, cfg.iterations)
-    ]
-    assert e1.tobytes() == _bits([a for a, _ in want])
-    assert e2.tobytes() == _bits([b for _, b in want])
-    oracle = iterate_hutchinson(ifs.maps, [ZERO], depth)
-    assert _bit_pairs(e1, e2) <= _bit_pairs(oracle.e1, oracle.e2)
 
 
 def _sound_examples(test):
@@ -338,7 +261,7 @@ def small_games(draw):
 @given(game=small_games())
 def test_membership_is_never_below_full_query(game):
     ifs, cfg = game
-    cloud = run_hyperbolic(ifs, cfg, keep_picks=True)
+    cloud = run_hyperbolic(ifs, cfg)
     got = attractor_membership(ifs, cloud)
     want = reference_membership(ifs, cloud)
     assert _fraction(got) >= _fraction(want)
@@ -374,7 +297,7 @@ STEEP = _uniform(
 @given(game=games_from_zero())
 def test_membership_certifies_every_game_from_zero(game):
     ifs, cfg = game
-    cloud = run_hyperbolic(ifs, cfg, keep_picks=True)
+    cloud = run_hyperbolic(ifs, cfg)
     assert attractor_membership(ifs, cloud) == _result(0.0, certificate_depth(ifs.maps))
 
 
@@ -387,39 +310,74 @@ def _no_sample():
 
 
 def test_certified_cloud_builds_no_sample():
-    cloud = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000), keep_picks=True)
+    cloud = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000))
     with mock.patch.object(checks, "iterate_hutchinson", _refuse), mock.patch.object(
         checks, "nearest_componentwise", _refuse
     ):
         assert attractor_membership(SIERPINSKI, cloud).passed
 
 
-def test_far_start_counts_uncertified_points():
-    cfg = RunConfig(Variant.HYPERBOLIC, 3, 400, burn_in=0, start=FAR_START)
-    cloud = run_hyperbolic(SIERPINSKI, cfg, keep_picks=True)
-    picks = cloud.picks.tolist()
-    # From iteration 11 on, 12 selections stand behind each point.
+def _address_outliers(cfg):
+    """A Sierpinski game and its points beyond 2^-10 of their addresses, counted from D = 12 on."""
+    cloud = run_hyperbolic(SIERPINSKI, cfg)
+    picks = reference_picks(SIERPINSKI, cfg)
     outliers = 0
-    for n in range(11, 400):
+    for n in range(max(11, cfg.burn_in), cfg.iterations):
         a1, a2 = reference_address(SIERPINSKI.maps, picks[n - 11 : n + 1])
-        outliers += max(abs(cloud.e1[n] - a1), abs(cloud.e2[n] - a2)) > MEMBERSHIP_TOL
+        r = n - cfg.burn_in
+        outliers += max(abs(cloud.e1[r] - a1), abs(cloud.e2[r] - a2)) > MEMBERSHIP_TOL
+    return cloud, outliers
+
+
+def test_far_start_counts_uncertified_points():
+    # From iteration 11 on, 12 selections stand behind each point.
+    cloud, outliers = _address_outliers(RunConfig(Variant.HYPERBOLIC, 3, 400, burn_in=0, start=FAR_START))
     assert outliers > 0
     with _no_sample():
         assert attractor_membership(SIERPINSKI, cloud) == _result(outliers / 389, 12)
 
 
+def test_farther_start_counts_recorded_window_starts():
+    # The windows of later points start from recorded points beyond |4|.
+    start = Hyperbolic(40.0, -1e3)
+    cloud, outliers = _address_outliers(RunConfig(Variant.HYPERBOLIC, 3, 400, burn_in=0, start=start))
+    assert outliers > 1
+    assert attractor_membership(SIERPINSKI, cloud) == _result(outliers / 389, 12)
+
+
 def test_membership_refusals_build_nothing():
-    cloud = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 400), keep_picks=True)
-    short = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 11, burn_in=0), keep_picks=True)
+    short = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 11, burn_in=0))
     # D is in the tens of millions for factors this close to 1.
-    slow = run_hyperbolic(SLOW, RunConfig(Variant.HYPERBOLIC, 1, 300, burn_in=0), keep_picks=True)
+    slow = run_hyperbolic(SLOW, RunConfig(Variant.HYPERBOLIC, 1, 300, burn_in=0))
     assert certificate_depth(SLOW.maps) > 10**7
     with _no_sample():
-        with pytest.raises(ValueError, match="picked at every iteration"):
-            attractor_membership(SIERPINSKI, dataclasses.replace(cloud, picks=None))
         with pytest.raises(ValueError, match="the 12 selections"):
             attractor_membership(SIERPINSKI, short)
         began = time.perf_counter()
         with pytest.raises(ValueError, match="no recorded point"):
             attractor_membership(SLOW, slow)
         assert time.perf_counter() - began < 1.0
+
+
+@pytest.mark.parametrize("moved", [0, 1500, -1])
+def test_moved_point_is_counted(moved):
+    cloud = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000))
+    e1 = cloud.e1.copy()
+    e1[moved] += 2.0**-9
+    tampered = dataclasses.replace(cloud, e1=e1)
+    got = _fraction(attractor_membership(SIERPINSKI, tampered))
+    assert got > 0.0
+    assert got >= _fraction(reference_membership(SIERPINSKI, tampered))
+
+
+def test_membership_cost_does_not_grow_with_depth():
+    # Factors of 0.99 set D = 759: rebuilding every point from its last D maps took seconds.
+    deep = _uniform(
+        [AffineContraction(embed(0.99), b) for b in (ZERO, Hyperbolic(0.01, 0.0), Hyperbolic(0.0, 0.01))]
+    )
+    assert certificate_depth(deep.maps) == 759
+    cloud = run_hyperbolic(deep, RunConfig(Variant.HYPERBOLIC, 1, 200_000))
+    began = time.perf_counter()
+    got = attractor_membership(deep, cloud)
+    assert time.perf_counter() - began < 1.0
+    assert got == _result(0.0, 759)
