@@ -1,7 +1,7 @@
 """splitchaos: split-complex arithmetic, hyperbolic probability and entropy,
 and chaos-game fractal generation."""
 
-from .chaos import PointCloud, RunConfig, Variant, run, run_d_chaos, run_hyperbolic
+from .chaos import PointCloud, RunConfig, Variant, run
 from .entropy import EntropyReport, shannon, strong_entropy, verify_inequalities, weak_entropy
 from .ifs import AffineContraction, HyperbolicIFS, PointSet, hausdorff, iterate_hutchinson, splice
 from .numbers import E1, E2, ONE, ZERO, Hyperbolic, Order, embed
@@ -50,8 +50,6 @@ __all__ = [
     "pair_hyperbolic_distribution",
     "parse_spec",
     "run",
-    "run_d_chaos",
-    "run_hyperbolic",
     "shannon",
     "splice",
     "strong_entropy",

@@ -130,11 +130,6 @@ def select_indices(cum, u):
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
-def _require_variant(cfg, variant):
-    if cfg.variant is not variant:
-        raise ValueError(f"config variant is {cfg.variant.value}, expected {variant.value}")
-
-
 def _play(ifs, cfg, cums):
     """The one chaos-game engine: one draw and one selection per entry of cums.
 
@@ -172,26 +167,9 @@ def _play(ifs, cfg, cums):
 
 
 def run(ifs, cfg):
-    """Play the chaos game named by cfg.variant."""
+    """Play the chaos game named by cfg.variant; the split game needs FULL mode."""
     if cfg.variant is Variant.D_CHAOS:
         dists = marginals(ifs.dist)
     else:
         dists = [accumulated_distribution(ifs.dist)]
     return _play(ifs, cfg, [cumulative(d.probs) for d in dists])
-
-
-def run_hyperbolic(ifs, cfg):
-    """Chaos game on the hyperbolic plane; same control flow, hyperbolic weights."""
-    _require_variant(cfg, Variant.HYPERBOLIC)
-    return run(ifs, cfg)
-
-
-def run_d_chaos(ifs, cfg):
-    """Split chaos game: independent component-map draws per step.
-
-    Requires FULL mode.  Each step consumes two draws, the e1 selection s
-    first and the e2 selection t second, and tallies the flat pair index
-    s*n + t.
-    """
-    _require_variant(cfg, Variant.D_CHAOS)
-    return run(ifs, cfg)

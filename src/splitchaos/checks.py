@@ -5,9 +5,13 @@ against an independent yardstick: the union-of-images sample, which the
 orbit's own steps show each point to be near (see attractor_membership),
 binomial bounds on the selection tallies (these two share one hyperbolic
 game), and a replay of the split game's e1 coordinate as a plain
-one-dimensional game.  No sample is built: nearest_componentwise, the
-cKDTree query the tests hold the membership certificate to, alone loads
-scipy.
+one-dimensional game.  No sample is built.
+
+bench/traced.py times names here by wrapping them: run_hyperbolic and
+run_d_chaos, aliases of chaos.run for verify's two games, and
+iterate_hutchinson and nearest_componentwise, which no command calls.
+nearest_componentwise, the cKDTree query the tests hold the membership
+certificate to, imports scipy: only the test extra installs it.
 """
 
 import math
@@ -15,18 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chaos import (
-    RunConfig,
-    Variant,
-    cumulative,
-    run_d_chaos,
-    run_hyperbolic,
-    select_index,
-)
-# iterate_hutchinson is not called here; bench/traced.py wraps checks.iterate_hutchinson by name.
-from .ifs import coefficients, grid_step, iterate_hutchinson
+from .chaos import RunConfig, Variant, cumulative, run, select_index
+from .ifs import coefficients, grid_step, iterate_hutchinson  # iterate_hutchinson: for the bench
 from .probability import Mode, accumulated_distribution, marginals
 from .rng import Xoshiro256PP
+
+run_hyperbolic = run_d_chaos = run  # two names, so the bench can time each game
 
 ORACLE_DEPTH = 12
 MEMBERSHIP_TOL = 2.0**-10

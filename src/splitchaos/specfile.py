@@ -8,11 +8,12 @@ The document shape is:
       "probs": [{"e1": p1, "e2": p2}, ...]
     }
 
-with maps and probs the same nonempty length and every map's attractor
-bound |beta|/(1-kappa) finite in both components.  Validation failures
-carry the JSON path of the offending field.  Two systems ship with the
-package: "sierpinski" (three half-scale maps, uniform weights) and
-"sierpinski_hpd2" (same maps, lopsided componentwise weights).
+with maps and probs the same nonempty length, at most MAX_MAPS, and every
+map's attractor bound |beta|/(1-kappa) finite in both components.
+Validation failures carry the JSON path of the offending field.  Two
+systems ship with the package: "sierpinski" (three half-scale maps,
+uniform weights) and "sierpinski_hpd2" (same maps, lopsided
+componentwise weights).
 """
 
 import json
@@ -23,6 +24,9 @@ from .numbers import Hyperbolic
 from .probability import DistributionError, HyperbolicDistribution
 
 BUNDLED = ("sierpinski", "sierpinski_hpd2")
+
+# Most maps a system may have: entropy weighs all n^2 component pairs.
+MAX_MAPS = 256
 
 
 class ParseError(ValueError):
@@ -71,6 +75,10 @@ def parse_spec(text):
     for key in ("maps", "probs"):
         if key not in doc or not isinstance(doc[key], list) or not doc[key]:
             raise ValidationError(f"{key}: required nonempty array")
+    if len(doc["maps"]) > MAX_MAPS:
+        raise ValidationError(
+            f"maps: {len(doc['maps'])} entries exceed the {MAX_MAPS} a system may have"
+        )
     if len(doc["maps"]) != len(doc["probs"]):
         raise ValidationError(
             f"maps has {len(doc['maps'])} entries but probs has {len(doc['probs'])}"

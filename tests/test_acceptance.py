@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from splitchaos.chaos import RunConfig, Variant, run_d_chaos, run_hyperbolic
+from splitchaos.chaos import RunConfig, Variant, run
 from splitchaos.checks import nearest_componentwise
 from splitchaos.cli import main
 from splitchaos.entropy import shannon, strong_entropy, verify_inequalities
@@ -50,13 +50,13 @@ def lopsided_ifs():
 @pytest.fixture(scope="module")
 def uniform_dchaos(sierpinski):
     cfg = RunConfig(Variant.D_CHAOS, 1001, MILLION)
-    return run_d_chaos(sierpinski, cfg)
+    return run(sierpinski, cfg)
 
 
 @pytest.fixture(scope="module")
 def lopsided_dchaos(lopsided_ifs):
     cfg = RunConfig(Variant.D_CHAOS, 1002, MILLION)
-    return run_d_chaos(lopsided_ifs, cfg)
+    return run(lopsided_ifs, cfg)
 
 
 def test_criterion_1_algebra_suite():
@@ -138,7 +138,7 @@ def test_criterion_4_pair_inequalities():
 def test_criterion_5_sierpinski_reproduction(sierpinski):
     start = time.perf_counter()
     cfg = RunConfig(Variant.HYPERBOLIC, 42, MILLION, burn_in=100)
-    cloud = run_hyperbolic(sierpinski, cfg)
+    cloud = run(sierpinski, cfg)
     oracle = iterate_hutchinson(sierpinski.maps, [ZERO], 12)
     dist = nearest_componentwise(cloud, oracle)
     inside = float(np.mean(dist <= 2.0**-10))

@@ -10,8 +10,6 @@ from splitchaos.chaos import (
     Variant,
     cumulative,
     run,
-    run_d_chaos,
-    run_hyperbolic,
     select_index,
 )
 from splitchaos.checks import nearest_componentwise, replay_component_game
@@ -57,17 +55,9 @@ def test_run_config_validation():
         RunConfig(Variant.CLASSICAL, 1, 100, burn_in=-1)
 
 
-def test_variant_mismatch_is_rejected(triangle_ifs):
-    cfg = RunConfig(Variant.CLASSICAL, 1, 1000)
-    with pytest.raises(ValueError):
-        run_hyperbolic(triangle_ifs, cfg)
-    with pytest.raises(ValueError):
-        run_d_chaos(triangle_ifs, cfg)
-
-
 def test_point_and_tally_counts(triangle_ifs):
     cfg = RunConfig(Variant.HYPERBOLIC, 5, 2000, burn_in=137)
-    cloud = run_hyperbolic(triangle_ifs, cfg)
+    cloud = run(triangle_ifs, cfg)
     assert len(cloud) == 2000 - 137
     assert cloud.selection_counts.sum() == 2000
     assert len(cloud.selection_counts) == 3
@@ -75,7 +65,7 @@ def test_point_and_tally_counts(triangle_ifs):
 
 def test_single_recorded_point(triangle_ifs):
     cfg = RunConfig(Variant.HYPERBOLIC, 5, 101, burn_in=100)
-    cloud = run_hyperbolic(triangle_ifs, cfg)
+    cloud = run(triangle_ifs, cfg)
     assert len(cloud) == 1
 
 
@@ -86,29 +76,20 @@ def test_burn_in_zero_records_everything(triangle_ifs):
 
 
 def test_same_seed_same_cloud(triangle_ifs):
-    for variant, runner in (
-        (Variant.CLASSICAL, run),
-        (Variant.HYPERBOLIC, run_hyperbolic),
-        (Variant.D_CHAOS, run_d_chaos),
-    ):
+    for variant in Variant:
         cfg = RunConfig(variant, 99, 3000)
-        assert runner(triangle_ifs, cfg) == runner(triangle_ifs, cfg)
+        assert run(triangle_ifs, cfg) == run(triangle_ifs, cfg)
 
 
 def test_different_seeds_differ(triangle_ifs):
-    a = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 2000))
-    b = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 2, 2000))
+    a = run(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 2000))
+    b = run(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 2, 2000))
     assert a != b
-
-
-def test_dispatch_matches_runners(triangle_ifs):
-    cfg = RunConfig(Variant.D_CHAOS, 4, 1500)
-    assert run(triangle_ifs, cfg) == run_d_chaos(triangle_ifs, cfg)
 
 
 def test_cloud_point_accessors(triangle_ifs):
     cfg = RunConfig(Variant.HYPERBOLIC, 5, 150, burn_in=100)
-    cloud = run_hyperbolic(triangle_ifs, cfg)
+    cloud = run(triangle_ifs, cfg)
     pts = list(cloud)
     assert len(pts) == 50
     assert pts[0] == cloud[0]
@@ -116,7 +97,7 @@ def test_cloud_point_accessors(triangle_ifs):
 
 
 def test_points_stay_in_unit_box(triangle_ifs):
-    cloud = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 11, 20_000))
+    cloud = run(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 11, 20_000))
     assert float(cloud.e1.min()) >= 0.0 and float(cloud.e1.max()) <= 1.0
     assert float(cloud.e2.min()) >= 0.0 and float(cloud.e2.max()) <= 1.0
 
@@ -129,7 +110,7 @@ def test_classical_cloud_approaches_attractor(triangle_ifs):
 
 def test_hyperbolic_tallies_match_accumulated(triangle_ifs_lopsided):
     n = 100_000
-    cloud = run_hyperbolic(
+    cloud = run(
         triangle_ifs_lopsided, RunConfig(Variant.HYPERBOLIC, 17, n)
     )
     probs = accumulated_distribution(triangle_ifs_lopsided.dist).probs
@@ -144,7 +125,7 @@ def test_zero_divisor_mode_tallies():
     )
     ifs = HyperbolicIFS(TRIANGLE_MAPS[:2], dist)
     n = 50_000
-    cloud = run_hyperbolic(ifs, RunConfig(Variant.HYPERBOLIC, 23, n))
+    cloud = run(ifs, RunConfig(Variant.HYPERBOLIC, 23, n))
     for count in cloud.selection_counts:
         assert abs(count - n / 2) <= 3.0 * math.sqrt(n * 0.25)
 
@@ -155,12 +136,12 @@ def test_d_chaos_requires_full_mode():
     )
     ifs = HyperbolicIFS(TRIANGLE_MAPS[:2], dist)
     with pytest.raises(NotFullMode):
-        run_d_chaos(ifs, RunConfig(Variant.D_CHAOS, 1, 1000))
+        run(ifs, RunConfig(Variant.D_CHAOS, 1, 1000))
 
 
 def test_d_chaos_pair_tallies(triangle_ifs_lopsided):
     n = 100_000
-    cloud = run_d_chaos(triangle_ifs_lopsided, RunConfig(Variant.D_CHAOS, 29, n))
+    cloud = run(triangle_ifs_lopsided, RunConfig(Variant.D_CHAOS, 29, n))
     assert len(cloud.selection_counts) == 9
     assert cloud.selection_counts.sum() == n
     expected = pair_distribution(triangle_ifs_lopsided.dist).probs
@@ -170,7 +151,7 @@ def test_d_chaos_pair_tallies(triangle_ifs_lopsided):
 
 def test_d_chaos_e1_orbit_decouples(triangle_ifs_lopsided):
     cfg = RunConfig(Variant.D_CHAOS, 31, 20_000)
-    cloud = run_d_chaos(triangle_ifs_lopsided, cfg)
+    cloud = run(triangle_ifs_lopsided, cfg)
     replay = replay_component_game(triangle_ifs_lopsided, cfg, component=0)
     assert np.array_equal(cloud.e1, replay)
     replay2 = replay_component_game(triangle_ifs_lopsided, cfg, component=1)
@@ -182,7 +163,7 @@ def test_single_map_system_converges_to_fixed_point():
     dist = HyperbolicDistribution.validate([Hyperbolic(1.0, 1.0)])
     ifs = HyperbolicIFS((f,), dist)
     cfg = RunConfig(Variant.D_CHAOS, 7, 120, burn_in=100)
-    cloud = run_d_chaos(ifs, cfg)
+    cloud = run(ifs, cfg)
     fp = f.fixed_point()
     assert fp == embed(0.5)
     for p in cloud:
@@ -193,7 +174,7 @@ def test_single_map_system_converges_to_fixed_point():
 
 def test_custom_start_point(triangle_ifs):
     cfg = RunConfig(Variant.HYPERBOLIC, 13, 50, burn_in=0, start=embed(0.75))
-    cloud = run_hyperbolic(triangle_ifs, cfg)
+    cloud = run(triangle_ifs, cfg)
     first = cloud[0]
     # First recorded point is one map application away from the start.
     candidates = [f(embed(0.75)) for f in TRIANGLE_MAPS]
@@ -201,14 +182,14 @@ def test_custom_start_point(triangle_ifs):
 
 
 def test_cloud_equality_distinguishes_config(triangle_ifs):
-    a = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 500))
-    b = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 501))
+    a = run(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 500))
+    b = run(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 501))
     assert a != b
     assert a != "not a cloud"
 
 
 def test_cloud_equals_its_points_as_a_point_set(triangle_ifs):
-    cloud = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 300))
+    cloud = run(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 300))
     points = PointSet(cloud.e1, cloud.e2)
     assert cloud == list(cloud) and list(cloud) == cloud
     assert cloud == points and points == cloud
@@ -225,7 +206,7 @@ def test_cloud_equals_its_points_as_a_point_set(triangle_ifs):
 
 
 def test_point_cloud_is_plain_data(triangle_ifs):
-    cloud = run_hyperbolic(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 200))
+    cloud = run(triangle_ifs, RunConfig(Variant.HYPERBOLIC, 1, 200))
     assert isinstance(cloud, PointCloud)
     assert cloud.config.seed == 1
     assert cloud.e1.dtype == np.float64

@@ -28,6 +28,7 @@ from splitchaos.raster import (
     write_ppm,
 )
 from splitchaos.specfile import (
+    MAX_MAPS,
     ParseError,
     ValidationError,
     bundled_spec,
@@ -142,6 +143,23 @@ def test_parse_validates_shape():
     doc = _spec_doc(probs=[{"e1": 1.0, "e2": 1.0}])
     with pytest.raises(ValidationError):
         parse_spec(json.dumps(doc))
+
+
+def _many_maps_doc(n):
+    maps = [{"kappa": {"e1": 0.5, "e2": 0.5}, "beta": {"e1": i / n, "e2": 0.0}} for i in range(n)]
+    return {"maps": maps, "probs": [{"e1": 1 / n, "e2": 1 / n}] * n}
+
+
+def test_parse_bounds_the_map_count(tmp_path, capsys):
+    assert MAX_MAPS == 256
+    assert len(parse_spec(json.dumps(_many_maps_doc(MAX_MAPS))).maps) == MAX_MAPS
+    spec = tmp_path / "many.json"
+    spec.write_text(json.dumps(_many_maps_doc(MAX_MAPS + 1)))
+    with pytest.raises(ValidationError, match="^maps: 257 entries"):
+        load_spec(spec)
+    assert main(["entropy", "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: maps:") and err.count("\n") == 1
 
 
 def _unbounded_doc():
@@ -769,6 +787,24 @@ def test_names_the_traced_benchmark_run_patches_exist():
     for module, names in patched.items():
         for name in names:
             assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+
+def test_verify_plays_its_games_through_the_names_the_traced_benchmark_wraps(monkeypatch):
+    # bench/traced.py counts one game per RNG it records; a game played
+    # through chaos.run directly would leave an RNG without its game.
+    from splitchaos import chaos, checks
+
+    assert checks.run_hyperbolic is checks.run_d_chaos is chaos.run
+    calls = {"run_hyperbolic": [], "run_d_chaos": []}
+    for name, seen in calls.items():
+        def recorder(ifs, cfg, seen=seen):
+            seen.append(cfg.variant)
+            return chaos.run(ifs, cfg)
+
+        monkeypatch.setattr(checks, name, recorder)
+    results = checks.run_all(bundled_spec("sierpinski"), 2000, 1)
+    assert all(r.passed for r in results)
+    assert calls == {"run_hyperbolic": [Variant.HYPERBOLIC], "run_d_chaos": [Variant.D_CHAOS]}
 
 
 def test_every_exported_name_resolves():

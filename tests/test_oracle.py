@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitchaos import checks
-from splitchaos.chaos import RunConfig, Variant, run_hyperbolic
+from splitchaos.chaos import RunConfig, Variant, run
 from splitchaos.checks import (
     MEMBERSHIP_MAX_OUTLIERS,
     MEMBERSHIP_TOL,
@@ -146,7 +146,7 @@ def test_point_set_is_read_only():
     assert got != [Hyperbolic(0.25, -0.25)]
     assert (got == 3) is False
     # A game's recorded orbit is the same container.
-    cloud = run_hyperbolic(_uniform(_COLLIDING), RunConfig(Variant.HYPERBOLIC, 1, 200))
+    cloud = run(_uniform(_COLLIDING), RunConfig(Variant.HYPERBOLIC, 1, 200))
     assert isinstance(cloud, PointSet)
     assert cloud[0] == Hyperbolic(float(cloud.e1[0]), float(cloud.e2[0]))
     for coords in (cloud.e1, cloud.e2):
@@ -261,7 +261,7 @@ def small_games(draw):
 @given(game=small_games())
 def test_membership_is_never_below_full_query(game):
     ifs, cfg = game
-    cloud = run_hyperbolic(ifs, cfg)
+    cloud = run(ifs, cfg)
     got = attractor_membership(ifs, cloud)
     want = reference_membership(ifs, cloud)
     assert _fraction(got) >= _fraction(want)
@@ -297,7 +297,7 @@ STEEP = _uniform(
 @given(game=games_from_zero())
 def test_membership_certifies_every_game_from_zero(game):
     ifs, cfg = game
-    cloud = run_hyperbolic(ifs, cfg)
+    cloud = run(ifs, cfg)
     assert attractor_membership(ifs, cloud) == _result(0.0, certificate_depth(ifs.maps))
 
 
@@ -310,7 +310,7 @@ def _no_sample():
 
 
 def test_certified_cloud_builds_no_sample():
-    cloud = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000))
+    cloud = run(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000))
     with mock.patch.object(checks, "iterate_hutchinson", _refuse), mock.patch.object(
         checks, "nearest_componentwise", _refuse
     ):
@@ -319,7 +319,7 @@ def test_certified_cloud_builds_no_sample():
 
 def _address_outliers(cfg):
     """A Sierpinski game and its points beyond 2^-10 of their addresses, counted from D = 12 on."""
-    cloud = run_hyperbolic(SIERPINSKI, cfg)
+    cloud = run(SIERPINSKI, cfg)
     picks = reference_picks(SIERPINSKI, cfg)
     outliers = 0
     for n in range(max(11, cfg.burn_in), cfg.iterations):
@@ -346,9 +346,9 @@ def test_farther_start_counts_recorded_window_starts():
 
 
 def test_membership_refusals_build_nothing():
-    short = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 11, burn_in=0))
+    short = run(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 11, burn_in=0))
     # D is in the tens of millions for factors this close to 1.
-    slow = run_hyperbolic(SLOW, RunConfig(Variant.HYPERBOLIC, 1, 300, burn_in=0))
+    slow = run(SLOW, RunConfig(Variant.HYPERBOLIC, 1, 300, burn_in=0))
     assert certificate_depth(SLOW.maps) > 10**7
     with _no_sample():
         with pytest.raises(ValueError, match="the 12 selections"):
@@ -361,7 +361,7 @@ def test_membership_refusals_build_nothing():
 
 @pytest.mark.parametrize("moved", [0, 1500, -1])
 def test_moved_point_is_counted(moved):
-    cloud = run_hyperbolic(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000))
+    cloud = run(SIERPINSKI, RunConfig(Variant.HYPERBOLIC, 1, 3000))
     e1 = cloud.e1.copy()
     e1[moved] += 2.0**-9
     tampered = dataclasses.replace(cloud, e1=e1)
@@ -370,13 +370,24 @@ def test_moved_point_is_counted(moved):
     assert got >= _fraction(reference_membership(SIERPINSKI, tampered))
 
 
+def test_drift_decides_a_point_at_the_edge():
+    # Halving from just below 8 is exact; points 11 to 39 are counted. Point
+    # 12 starts its window from point 0, 4 - 2^-30, so K^12 * |y| = 2^-10 -
+    # 2^-42: inside the tolerance, but not once the drift (2^-40 + 2^-46 at
+    # M ~ 8) is added. Point 11, from the start itself, is out either way.
+    halving = _uniform([AffineContraction(embed(0.5), ZERO)])
+    cfg = RunConfig(Variant.HYPERBOLIC, 1, 40, burn_in=0, start=embed(8.0 - 2.0**-29))
+    cloud = run(halving, cfg)
+    assert attractor_membership(halving, cloud) == _result(2 / 29, 12)
+
+
 def test_membership_cost_does_not_grow_with_depth():
     # Factors of 0.99 set D = 759: rebuilding every point from its last D maps took seconds.
     deep = _uniform(
         [AffineContraction(embed(0.99), b) for b in (ZERO, Hyperbolic(0.01, 0.0), Hyperbolic(0.0, 0.01))]
     )
     assert certificate_depth(deep.maps) == 759
-    cloud = run_hyperbolic(deep, RunConfig(Variant.HYPERBOLIC, 1, 200_000))
+    cloud = run(deep, RunConfig(Variant.HYPERBOLIC, 1, 200_000))
     began = time.perf_counter()
     got = attractor_membership(deep, cloud)
     assert time.perf_counter() - began < 1.0
